@@ -5,8 +5,11 @@ solving the convex model obtained from linearizing c, plus a proximal
 quadratic.  On sharp problems (noiseless phase retrieval is sharp around
 the signal) the iterates converge quadratically once inside the basin of
 attraction, provided the subproblems are solved accurately enough.  The
-adaptive inner tolerance in ``proxlinear_run`` tightens the certified
-subproblem gap with the square of the step size to preserve that rate.
+adaptive inner tolerance in ``proxlinear_run`` asks only 1e-6 of the
+first subproblem and then tightens the certified gap with the fourth
+power of the last step length, which preserves that rate while sparing
+the far-from-solution steps; ``inner_tol`` is the gap the stopping step
+must certify.
 """
 
 import numpy as np

@@ -193,6 +193,16 @@ def _coerce(raw: str):
     return raw
 
 
+# Value ranges the generators require, checked at parse time so that a bad
+# value exits 2 with its key named instead of failing inside every run.
+_PROBLEM_RANGES = {
+    ("ridge", "cond"): ("> 1", lambda v: v > 1.0),
+    ("phase_retrieval", "outlier_frac"): ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    ("z2_sync", "edge_prob"): ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    ("z2_sync", "flip_prob"): ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+}
+
+
 def _generator_params(name: str) -> set:
     sig = inspect.signature(GENERATORS[name])
     return set(sig.parameters) - {"seed"}
@@ -244,9 +254,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError("unknown problem %r (see --list-problems)" % pname,
                           line=lines[("problem", "name")])
     allowed = _generator_params(pname)
-    for k in prob:
+    for k, v in prob.items():
         if k != "name" and k not in allowed:
             raise ConfigError("unknown key 'problem.%s' for problem %r" % (k, pname),
+                              line=lines[("problem", k)])
+        rule = _PROBLEM_RANGES.get((pname, k))
+        if rule and not (isinstance(v, (int, float)) and rule[1](v)):
+            raise ConfigError("problem.%s must be %s, got %r" % (k, rule[0], v),
                               line=lines[("problem", k)])
 
     # solver arms
@@ -392,8 +406,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> dic
     Returns a manifest dict with the written files and any failures;
     partial outputs are retained when some runs fail.
     """
+    raw_offset = os.environ.get("PROXKIT_SEED_OFFSET", "0")
+    try:
+        offset = int(raw_offset)
+    except ValueError:
+        raise ConfigError("PROXKIT_SEED_OFFSET must be an integer, got %r"
+                          % raw_offset) from None
     os.makedirs(out_dir, exist_ok=True)
-    offset = int(os.environ.get("PROXKIT_SEED_OFFSET", "0"))
     seeds = [s + offset for s in config.seeds]
 
     tasks = [(arm, sname, params, seed)

@@ -1,7 +1,7 @@
 """Command-line entry point: ``proxkit run <config> [--out DIR] [--jobs N]``.
 
-Exit codes: 0 success, 2 invalid config, 3 solver failure (partial
-outputs retained, failures listed in the MANIFEST).
+Exit codes: 0 success, 2 invalid config or PROXKIT_SEED_OFFSET, 3 solver
+failure (partial outputs retained, failures listed in the MANIFEST).
 """
 
 from __future__ import annotations
@@ -52,7 +52,11 @@ def main(argv=None) -> int:
         print("error: %s: %s" % (args.config, exc), file=sys.stderr)
         return 2
 
-    manifest = run_experiment(config, args.out, jobs=args.jobs)
+    try:
+        manifest = run_experiment(config, args.out, jobs=args.jobs)
+    except ConfigError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     if manifest["failures"]:
         for fail in manifest["failures"]:
             print("solver failure (%s, seed %d): %s"

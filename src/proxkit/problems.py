@@ -303,6 +303,8 @@ def make_ridge(d: int, m: int, cond: float = 1e4, seed: int = 0) -> SyntheticIns
     strong convexity; with isotropic features and m >> d the data term
     would dominate mu and the instance would be well conditioned no matter
     how small mu is."""
+    if not cond > 1.0:
+        raise ValueError("cond must be > 1")
     rng = RandomStream(seed, stream_id=6)
     A = rng.normal((m, d)) * np.logspace(0.0, -4.0, d)
     xstar = rng.normal(d)

@@ -25,6 +25,23 @@ from .errors import BudgetExceeded
 from .oracles import CompositeProblem
 from .report import SolverReport
 
+# Gap asked of the first subproblem under the adaptive schedule.  The
+# inexact prox-linear analysis (Drusvyatskiy & Paquette, arXiv 1605.00125)
+# only needs each model gap to shrink with the step length, so the first
+# step, taken far from a solution, need not be solved tightly.
+_FIRST_INNER_TOL = 1e-6
+
+# Lowest gap the adaptive schedule asks for (unless inner_tol is lower).
+# Below it the computed gap of a model with O(1) data is rounding noise:
+# noiseless phase retrieval at its solution certifies 2e-16 to 1.1e-15,
+# so a smaller request only ends on PDHG's stall exit.
+_GAP_FLOOR = 16 * np.finfo(float).eps
+
+# Twenty power-iteration steps fell up to 8.5% short of ||K|| on robust
+# PCA Jacobians at random points (10 instances, 300 points); 1.2 leaves a
+# margin over that.
+_NORM_SAFETY = 1.2
+
 
 @dataclass
 class SurrogateGradient:
@@ -43,6 +60,17 @@ def model_value(problem: CompositeProblem, y, x) -> float:
     c0 = problem.c_eval(y)
     lin = c0 + problem.c_jvp(y, x - y)
     return problem.g.value(x) + problem.h.value(lin)
+
+
+def _pdhg_step(K, Kt, dim: int) -> float:
+    """Common initial primal and dual step tau = sigma of the PDHG solver.
+
+    Power iteration approaches ||K|| from below, so its estimate is
+    inflated by ``_NORM_SAFETY`` to keep Chambolle & Pock's step condition
+    tau * sigma * ||K||^2 <= 1.
+    """
+    knorm = operator_norm(K, Kt, dim, iters=20)
+    return 1.0 / max(_NORM_SAFETY * knorm, 1e-12)
 
 
 def _solve_model_subproblem(
@@ -78,15 +106,11 @@ def _solve_model_subproblem(
         Kt = lambda u: problem.c_vjp(x_t, u)
     e = c0 - K(x_t)
 
-    knorm = operator_norm(K, Kt, x_t.size, iters=20)
-    knorm = max(knorm, 1e-12)
-
     x = x_t.copy()
     xbar = x.copy()
     u = h.dual_project(np.zeros(c0.size)) if warm_dual is None else warm_dual.copy()
 
-    tau = 1.0 / knorm
-    sigma = 1.0 / knorm
+    tau = sigma = _pdhg_step(K, Kt, x_t.size)
     gamma = beta  # strong convexity carried by the quadratic penalty
 
     def primal_value(xv):
@@ -191,11 +215,22 @@ def proxlinear_run(
     seed: int = 0,
 ) -> SolverReport:
     """Run the prox-linear method until the surrogate norm drops below
-    stat_tol or the outer budget is exhausted.
+    stat_tol on a step whose achieved subproblem gap is <= inner_tol, or
+    the outer budget is exhausted.
 
-    With ``adaptive_inner`` the subproblem gap tolerance is tightened
-    proportionally to the square of the current step size, which preserves
-    local quadratic convergence on sharp problems.
+    With ``adaptive_inner`` the subproblem gap tolerance follows the last
+    step length s = ||x_{t+1} - x_t||: the first subproblem is solved to
+    ``max(inner_tol, 1e-6)`` and each later one to
+    ``max(floor, min(previous tolerance, 0.05 * beta * s**4))``, so early
+    steps far from a solution are solved loosely and the tolerance never
+    loosens.  Tying the gap to s**4 keeps the inexact step within O(s**2)
+    of the exact one, which preserves local quadratic convergence on sharp
+    problems.  The floor, ``min(inner_tol, 16 * machine epsilon)``, keeps
+    the request above the rounding noise of the computed gap.
+
+    ``inner_tol`` is the gap the stopping step must certify: a loosely
+    solved step cannot stop the run, however small its surrogate norm.
+    Without ``adaptive_inner`` every subproblem is solved to ``inner_tol``.
     """
     x = np.asarray(x0, dtype=float).copy()
     if beta is None:
@@ -209,7 +244,8 @@ def proxlinear_run(
     })
 
     dual = None
-    gap_tol = inner_tol
+    gap_tol = max(inner_tol, _FIRST_INNER_TOL) if adaptive_inner else inner_tol
+    gap_floor = min(inner_tol, _GAP_FLOOR)
     for t in range(outer_iters):
         x_next, surr, dual = proxlinear_step(
             problem, x, beta, inner_tol=gap_tol, budget=inner_budget, warm_dual=dual
@@ -217,11 +253,11 @@ def proxlinear_run(
         evals = sum(problem.counters.values())
         report.record(t, x, problem.value(x), surr.norm, evals, keep_iterate=True)
         x = x_next
-        if surr.norm <= stat_tol:
+        if surr.norm <= stat_tol and surr.gap <= inner_tol:
             break
         if adaptive_inner:
-            step_sq = (surr.norm / beta) ** 2
-            gap_tol = min(inner_tol, max(1e-18, 0.05 * beta * step_sq * step_sq))
+            s = surr.norm / beta
+            gap_tol = max(gap_floor, min(gap_tol, 0.05 * beta * s**4))
 
     report.solution = x
     report.oracle_calls = dict(problem.counters)

@@ -59,6 +59,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="adam"):
             parse_config_text(LASSO_CFG.replace("proxlinear", "adam"))
 
+    @pytest.mark.parametrize("problem,key,value", [
+        ("ridge", "cond", "1"),
+        ("ridge", "cond", "high"),
+        ("phase_retrieval", "outlier_frac", "1.0"),
+        ("z2_sync", "edge_prob", "0"),
+        ("z2_sync", "flip_prob", "-0.1"),
+    ])
+    def test_out_of_range_problem_value_rejected(self, problem, key, value):
+        text = ("problem.name = %s\nproblem.%s = %s\nsolver.name = proxlinear\n"
+                "seeds = 0\n" % (problem, key, value))
+        with pytest.raises(ConfigError, match="line 2: problem.%s must be" % key):
+            parse_config_text(text)
+
     def test_missing_seeds(self):
         with pytest.raises(ConfigError, match="seeds"):
             parse_config_text(LASSO_CFG.replace("seeds = 0, 1\n", ""))
@@ -198,6 +211,22 @@ class TestCli:
         p.write_text(LASSO_CFG + "problem.bogus = 1\n")
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "line 8" in capsys.readouterr().err
+
+    def test_ridge_cond_one_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "ridge.cfg"
+        p.write_text("problem.name = ridge\nproblem.d = 4\nproblem.m = 8\n"
+                     "problem.cond = 1\nsolver.name = gd\nseeds = 0\n")
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "problem.cond" in capsys.readouterr().err
+
+    def test_bad_seed_offset_exits_2(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "ok.cfg"
+        p.write_text(LASSO_CFG)
+        monkeypatch.setenv("PROXKIT_SEED_OFFSET", "abc")
+        out = tmp_path / "o"
+        assert cli_main(["run", str(p), "--out", str(out)]) == 2
+        assert "PROXKIT_SEED_OFFSET" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, capsys):
         assert cli_main(["run", "/nonexistent/x.cfg"]) == 2

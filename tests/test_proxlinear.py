@@ -13,12 +13,14 @@ from proxkit import (
     estimate_local_rate,
     make_lasso,
     make_phase_retrieval,
+    make_robust_pca,
     model_value,
     proxlinear_run,
     proxlinear_step,
     prox_map,
 )
-from proxkit.proxlinear import _solve_model_subproblem
+import proxkit.proxlinear
+from proxkit.proxlinear import _pdhg_step, _solve_model_subproblem
 
 
 def linear_l1mean_problem(seed=41, d=4, m=7):
@@ -70,6 +72,18 @@ class TestModelSubproblem:
         assert ei.value.best_point is not None
         assert ei.value.achieved > 0
 
+    def test_step_sizes_meet_chambolle_pock_condition(self):
+        # [DERIVED] ||K|| from the dense Jacobian assembled column by
+        # column from jvps; the power-iteration estimate alone runs low
+        for seed in range(10):
+            c = make_robust_pca(20, 15, 3, sparsity=0.1, seed=seed).problem.c
+            for k in range(3):
+                z = RandomStream(seed, stream_id=300 + k).normal(c.dim_in)
+                K = np.column_stack([c.jvp(z, e) for e in np.eye(c.dim_in)])
+                step = _pdhg_step(lambda v: c.jvp(z, v), lambda u: c.vjp(z, u),
+                                  c.dim_in)
+                assert step * step * np.linalg.norm(K, 2) ** 2 <= 1.0
+
 
 class TestProxlinearStep:
     def test_identity_bypass_is_proximal_gradient(self):
@@ -110,6 +124,65 @@ class TestProxlinearRun:
         inst = make_lasso(d=10, m=25, lam=0.1, seed=3)
         rep = proxlinear_run(inst.problem, np.zeros(10), outer_iters=20)
         assert all(b >= a for a, b in zip(rep.evals_history, rep.evals_history[1:]))
+
+
+def _criterion_4_start(seed=0):
+    inst = make_phase_retrieval(d=20, m=160, outlier_frac=0.0, seed=seed)
+    xbar = inst.ground_truth
+    direction = RandomStream(seed, stream_id=91).normal(20)
+    direction /= np.linalg.norm(direction)
+    return inst, xbar + 0.1 * np.linalg.norm(xbar) * direction
+
+
+def _record_steps(monkeypatch, edit=None):
+    """Wrap proxlinear_step; returns the list of (requested gap, surrogate)
+    of every step.  ``edit(surr)`` may alter a surrogate before the run
+    sees it."""
+    steps = []
+    step = proxkit.proxlinear.proxlinear_step
+
+    def recording_step(*args, **kwargs):
+        x_next, surr, dual = step(*args, **kwargs)
+        if edit is not None:
+            edit(surr)
+        steps.append((kwargs["inner_tol"], surr))
+        return x_next, surr, dual
+
+    monkeypatch.setattr(proxkit.proxlinear, "proxlinear_step", recording_step)
+    return steps
+
+
+def test_adaptive_inner_meets_every_requested_gap(monkeypatch):
+    inst, x0 = _criterion_4_start()
+    steps = _record_steps(monkeypatch)
+    rep = proxlinear_run(inst.problem, x0, outer_iters=10, stat_tol=0.0,
+                         inner_tol=1e-13)
+    assert len(steps) == 10
+    for requested, surr in steps:
+        assert surr.gap <= requested
+    counters = inst.problem.counters
+    assert counters["c_jvp"] + counters["c_vjp"] <= 12_000
+    xbar = inst.ground_truth
+    dist = min(np.linalg.norm(rep.solution - xbar),
+               np.linalg.norm(rep.solution + xbar))
+    assert dist <= 1e-10
+    assert estimate_local_rate(rep.stationarity_history).kind == "quadratic"
+
+
+def test_loosely_solved_step_cannot_stop_the_run(monkeypatch):
+    # every step is below stat_tol, but the first two report a gap above
+    # inner_tol, as a solve that stalled would
+    inst, x0 = _criterion_4_start()
+
+    def stall_first_two(surr):
+        if len(steps) < 2:
+            surr.gap = 1.0
+
+    steps = _record_steps(monkeypatch, stall_first_two)
+    rep = proxlinear_run(inst.problem, x0, outer_iters=10, stat_tol=1e3,
+                         inner_tol=1e-8)
+    assert len(rep.iteration_index) == 3
+    assert [surr.gap > 1e-8 for _, surr in steps] == [True, True, False]
 
 
 class TestSandwich:
