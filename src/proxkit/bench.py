@@ -27,6 +27,7 @@ import concurrent.futures
 import hashlib
 import inspect
 import os
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,11 +256,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
                           line=lines[("problem", "name")])
     allowed = _generator_params(pname)
     for k, v in prob.items():
-        if k != "name" and k not in allowed:
+        if k == "name":
+            continue
+        if k not in allowed:
             raise ConfigError("unknown key 'problem.%s' for problem %r" % (k, pname),
                               line=lines[("problem", k)])
+        if not isinstance(v, (int, float)):
+            raise ConfigError("problem.%s must be a number, got %r" % (k, v),
+                              line=lines[("problem", k)])
         rule = _PROBLEM_RANGES.get((pname, k))
-        if rule and not (isinstance(v, (int, float)) and rule[1](v)):
+        if rule and not rule[1](v):
             raise ConfigError("problem.%s must be %s, got %r" % (k, rule[0], v),
                               line=lines[("problem", k)])
 
@@ -400,6 +406,18 @@ def _run_csv_text(config: ExperimentConfig, report, seed: int, wall_ns: int) -> 
     return "\n".join(lines) + "\n"
 
 
+def _failure(fname, arm, sname, seed, exc) -> dict:
+    """MANIFEST record of a task that raised.  A ProxkitError's message
+    says what failed; any other exception is named by its type, on one
+    line, and keeps its traceback for the caller to show."""
+    fail = {"file": fname, "arm": arm, "solver": sname, "seed": seed,
+            "error": str(exc)}
+    if not isinstance(exc, ProxkitError):
+        fail["error"] = "%s: %s" % (type(exc).__name__, " ".join(str(exc).split()))
+        fail["traceback"] = "".join(traceback.format_exception(exc))
+    return fail
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     """Run every (arm, seed) combination and write the CSV bundle.
 
@@ -420,34 +438,25 @@ def run_experiment(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> dic
     results: dict[tuple, tuple] = {}
     failures: list[dict] = []
 
-    def worker(task):
+    def attempt(task):
         arm, sname, params, seed = task
-        return task, _run_one(config, arm, sname, params, seed)
+        try:
+            return _run_one(config, arm, sname, params, seed)
+        except Exception as exc:  # a crashing task is recorded, not fatal
+            return exc
 
     if jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(worker, t) for t in tasks]
-            outcomes = []
-            for t, fut in zip(tasks, futures):
-                try:
-                    outcomes.append(fut.result())
-                except ProxkitError as exc:
-                    outcomes.append((t, exc))
+            outcomes = list(zip(tasks, pool.map(attempt, tasks)))
     else:
-        outcomes = []
-        for t in tasks:
-            try:
-                outcomes.append(worker(t))
-            except ProxkitError as exc:
-                outcomes.append((t, exc))
+        outcomes = [(t, attempt(t)) for t in tasks]
 
     files = []
     for task, result in outcomes:
         arm, sname, params, seed = task
         fname = "%s_seed%d.csv" % (arm, seed)
-        if isinstance(result, ProxkitError):
-            failures.append({"file": fname, "arm": arm, "solver": sname,
-                             "seed": seed, "error": str(result)})
+        if isinstance(result, Exception):
+            failures.append(_failure(fname, arm, sname, seed, result))
             continue
         instance, report, wall_ns = result
         results[(arm, seed)] = (instance, report)

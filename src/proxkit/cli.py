@@ -1,7 +1,8 @@
 """Command-line entry point: ``proxkit run <config> [--out DIR] [--jobs N]``.
 
-Exit codes: 0 success, 2 invalid config or PROXKIT_SEED_OFFSET, 3 solver
-failure (partial outputs retained, failures listed in the MANIFEST).
+Exit codes: 0 success, 2 invalid config or PROXKIT_SEED_OFFSET, 3 a run
+raised, whatever the exception (partial outputs retained, failures listed
+in the MANIFEST).
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ def main(argv=None) -> int:
         return 2
     if manifest["failures"]:
         for fail in manifest["failures"]:
+            if "traceback" in fail:
+                print(fail["traceback"], end="", file=sys.stderr)
             print("solver failure (%s, seed %d): %s"
                   % (fail["solver"], fail["seed"], fail["error"]), file=sys.stderr)
         return 3

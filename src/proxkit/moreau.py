@@ -131,6 +131,7 @@ def _prox_composite(f: CompositeProblem, nu, z, inner_tol, budget):
     from .proxlinear import proxlinear_step
 
     shifted = CompositeProblem(ShiftedQuadraticProx(f.g, nu, z), f.h, f.c)
+    shifted.counters = f.counters  # the shifted problem's oracle calls are f's
     beta = max(f.L * f.beta, 1e-12)
     x = z.copy()
     dual = None

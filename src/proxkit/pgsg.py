@@ -6,6 +6,16 @@ stochastic subgradient steps on the regularized model
 f(., zeta) + rho ||. - x_t||^2 (whose quadratic contributes gradient
 2 rho (y - x_t)), warm-started at y_0 = x_t; the next center is the
 running average of the inner iterates.
+
+Every step direction v must be finite.  The inner loop does not test each
+v; it adds them into a running sum and tests that sum once per outer step
+(a NaN or inf in any v leaves it non-finite).  When the sum is not finite,
+or the oracle or projector raises mid-step, the outer step is replayed
+from x_t on the same draws with a test on every v, which finds the first
+failing inner step j and raises OracleFailure for (t, j) as a per-step
+test would.  A replay that finds no bad v means the sum itself overflowed
+(the run goes on, and NumPy warns of the overflow) or the exception came
+first (it is re-raised).
 """
 
 from __future__ import annotations
@@ -30,6 +40,12 @@ class StochasticProblem:
     available on synthetic instances: the latter is a deterministic
     bundle accepted by :func:`proxkit.moreau.prox_map`, used to report
     the Moreau envelope gradient of the full objective.
+
+    ``stoch_subgrad(x, zeta)`` must depend on ``(x, zeta)`` alone: a
+    failing outer step is replayed on the same draws (see the module
+    docstring).  ``presample(rng, n)``, when given, returns n draws as an
+    array, which PGSG hands to ``stoch_subgrad`` through ``tolist()``, so
+    integer draws arrive as Python ints.
     """
 
     sample: Callable[[RandomStream], object]
@@ -66,6 +82,50 @@ def default_schedule(rho: float) -> PgsgSchedule:
     )
 
 
+class _NonFiniteStep(OracleFailure):
+    """A replayed inner step produced a non-finite v."""
+
+
+def _inner_loop(subgrad, two_rho, alphas, projector, x, zetas, t, check):
+    """The inner steps of outer step t from center x, one per draw.
+
+    Returns the sum of the iterates y_0 .. y_n and the sum of the step
+    directions v.  With ``check``, raises _NonFiniteStep at the first
+    non-finite v.  The arithmetic is that of
+    ``v = g + (2 rho) (y - x); y = y - alpha v`` bit for bit: the in-place
+    forms only swap the operands of IEEE + and *, which commute.
+    """
+    y = x.copy()
+    acc = y.copy()
+    vsum = np.zeros_like(y)
+    for j, zeta in enumerate(zetas):
+        v = y - x
+        v *= two_rho
+        v += subgrad(y, zeta)
+        if check and not np.all(np.isfinite(v)):
+            raise _NonFiniteStep(
+                "non-finite subgradient at outer %d, inner %d" % (t, j))
+        vsum += v
+        v *= alphas[j]
+        y = y - v
+        if projector is not None:
+            y = projector.project(y)
+        acc += y
+    return acc, vsum
+
+
+def _replay(args):
+    """Rerun an outer step with every v checked; raises _NonFiniteStep
+    if one is not finite and returns quietly otherwise, also when the
+    replay stops on another exception."""
+    try:
+        _inner_loop(*args, check=True)
+    except _NonFiniteStep:
+        raise
+    except Exception:
+        pass
+
+
 def pgsg_run(
     problem: StochasticProblem,
     x0,
@@ -94,6 +154,9 @@ def pgsg_run(
     alphas = np.array([schedule.inner_steps(j) for j in range(max_jt)])
     if np.any(np.diff(alphas) >= 0) or np.any(alphas <= 0):
         raise ValueError("inner step sizes must be positive and strictly decreasing")
+    alphas = alphas.tolist()
+    subgrad = problem.stoch_subgrad
+    two_rho = 2.0 * rho
 
     subgrad_evals = 0
     visited = [x.copy()]
@@ -115,22 +178,18 @@ def pgsg_run(
         j_t = int(schedule.inner_counts(t))
         if j_t < 1:
             raise ValueError("inner count must be >= 1")
-        y = x.copy()
-        acc = y.copy()  # running sum of y_0 .. y_{j_t-1}
         if problem.presample is not None:
-            zetas = problem.presample(rng, max(j_t - 1, 0))
+            zetas = problem.presample(rng, max(j_t - 1, 0)).tolist()
         else:
             zetas = [problem.sample(rng) for _ in range(max(j_t - 1, 0))]
-        for j in range(j_t - 1):
-            v = problem.stoch_subgrad(y, zetas[j]) + (2.0 * rho) * (y - x)
-            if not np.all(np.isfinite(v)):
-                raise OracleFailure(
-                    "non-finite subgradient at outer %d, inner %d" % (t, j)
-                )
-            y = y - alphas[j] * v
-            if projector is not None:
-                y = projector.project(y)
-            acc += y
+        args = (subgrad, two_rho, alphas, projector, x, zetas, t)
+        try:
+            acc, vsum = _inner_loop(*args, check=False)
+        except Exception:
+            _replay(args)
+            raise
+        if not np.all(np.isfinite(vsum)):
+            _replay(args)
         subgrad_evals += j_t - 1
         x_new = acc / j_t
         if (t + 1) % stat_every == 0 or t == 0 or t == outer_iters - 1:

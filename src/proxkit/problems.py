@@ -91,10 +91,19 @@ def make_phase_retrieval(d: int, m: int, outlier_frac: float = 0.0,
     row_sq = np.sum(A * A, axis=1)
     rho_stoch = float(2.0 * np.max(row_sq))
 
+    # PGSG calls this once per inner step, so it avoids NumPy scalars:
+    # prebuilt row views, Python-float data, and a sign by comparisons.
+    # That sign is np.sign's except at NaN, where t is NaN and the result
+    # is NaN either way.
+    rows = list(A)
+    b2_list = b2.tolist()
+
     def stoch_subgrad(x, i):
-        a = A[i]
-        t = float(a @ x)
-        return (2.0 * t * np.sign(t * t - b2[i])) * a
+        a = rows[i]
+        t = float(a.dot(x))
+        r = t * t - b2_list[i]
+        s = 1.0 if r > 0.0 else -1.0 if r < 0.0 else 0.0
+        return (2.0 * t * s) * a
 
     stochastic = StochasticProblem(
         sample=lambda r: int(r.integers(0, m)),

@@ -31,26 +31,21 @@ class RandomStream:
         key = self.seed | (self.stream_id << 64)
         self._bitgen = np.random.Philox(key=key)
         self._gen = np.random.Generator(self._bitgen)
-        self.counter = 0
 
     def split(self, stream_id: int) -> "RandomStream":
         """New independent stream with the same seed."""
         return RandomStream(self.seed, stream_id)
 
     def normal(self, size=None) -> np.ndarray:
-        self.counter += int(np.prod(size)) if size is not None else 1
         return self._gen.standard_normal(size)
 
     def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
-        self.counter += int(np.prod(size)) if size is not None else 1
         return self._gen.uniform(low, high, size)
 
     def integers(self, low, high=None, size=None) -> np.ndarray:
-        self.counter += int(np.prod(size)) if size is not None else 1
         return self._gen.integers(low, high, size)
 
     def choice(self, n, size, replace=False) -> np.ndarray:
-        self.counter += int(size)
         return self._gen.choice(n, size=size, replace=replace)
 
     def sign(self, size=None) -> np.ndarray:

@@ -228,6 +228,30 @@ class TestCli:
         assert "PROXKIT_SEED_OFFSET" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_numeric_problem_value_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "abc.cfg"
+        p.write_text(LASSO_CFG.replace("problem.d = 10", "problem.d = abc"))
+        out = tmp_path / "o"
+        assert cli_main(["run", str(p), "--out", str(out)]) == 2
+        assert "line 2: problem.d must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_proxkit_exception_still_writes_bundle(self, tmp_path, capsys, jobs):
+        # the generator raises ValueError (rank 9 > 4) in every task
+        p = tmp_path / "rpca.cfg"
+        p.write_text("problem.name = robust_pca\nproblem.mrows = 4\n"
+                     "problem.ncols = 4\nproblem.r = 9\nsolver.name = proxlinear\n"
+                     "seeds = 0, 1\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", str(p), "--out", str(out), "--jobs", jobs]) == 3
+        manifest = (out / "MANIFEST").read_text().splitlines()
+        assert ("failed solver_seed0.csv: ValueError: target rank exceeds "
+                "matrix dimensions") in manifest
+        assert sum(ln.startswith("failed ") for ln in manifest) == 2
+        assert (out / "summary.csv").exists()
+        assert "Traceback" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         assert cli_main(["run", "/nonexistent/x.cfg"]) == 2
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from proxkit import (
+    BoxIndicator,
     InvalidModulus,
     OracleFailure,
     RandomStream,
@@ -11,6 +12,7 @@ from proxkit import (
     make_phase_retrieval,
     pgsg_run,
 )
+from proxkit.moreau import prox_map
 from proxkit.pgsg import _INNER_OFFSET, StochasticProblem
 
 
@@ -115,3 +117,115 @@ class TestPgsgRun:
                        rng=RandomStream(12, stream_id=6), stat_every=2)
         assert all(np.isfinite(s) and s >= 0 for s in rep.stationarity_history)
         assert rep.iteration_index[0] == 1  # first outer step is recorded
+
+    def test_bit_identical_to_textbook_loop(self):
+        # [ORACLE] two outer steps of robust phase retrieval against the
+        # plain loop: NumPy-scalar subgradient, a finiteness test on every
+        # v, v = g + (2 rho)(y - x), y = y - alpha v.  Equal bits, not
+        # allclose.
+        inst = make_phase_retrieval(d=10, m=80, outlier_frac=0.1, seed=3)
+        sp = inst.stochastic
+        sched = default_schedule(sp.rho)
+        x0 = RandomStream(3, stream_id=90).normal(10)
+        rep = pgsg_run(sp, x0, outer_iters=2, schedule=sched,
+                       rng=RandomStream(3, stream_id=200))
+
+        A, b = inst.arrays["A"], inst.arrays["b"]
+        b2 = b * b
+
+        def subgrad(x, i):
+            a = A[i]
+            t = float(a @ x)
+            return (2.0 * t * np.sign(t * t - b2[i])) * a
+
+        rho = sp.rho
+        rng = RandomStream(3, stream_id=200)
+        x = x0.copy()
+        visited, objectives, stats = [x.copy()], [], []
+        for t in range(2):
+            j_t = sched.inner_counts(t)
+            zetas = rng.integers(0, 80, size=j_t - 1)
+            y = x.copy()
+            acc = y.copy()
+            for j in range(j_t - 1):
+                v = subgrad(y, zetas[j]) + (2.0 * rho) * (y - x)
+                if not np.all(np.isfinite(v)):
+                    raise OracleFailure("outer %d, inner %d" % (t, j))
+                y = y - sched.inner_steps(j) * v
+                acc += y
+            x_new = acc / j_t
+            objectives.append(inst.problem.value(x_new))
+            mp = prox_map(inst.problem, 1.0 / (2.0 * rho), x_new, inner_tol=1e-8)
+            stats.append(float(np.linalg.norm(mp.envelope_gradient)))
+            x = x_new
+            visited.append(x.copy())
+        pick = int(rng.integers(1, 3))
+
+        assert np.array_equal(rep.solution, visited[pick])
+        assert np.array_equal(rep.objective_history, objectives)
+        assert np.array_equal(rep.stationarity_history, stats)
+
+
+def step_indexed_problem(subgrad, dim=3):
+    """Draw j of each outer step is the integer j, so an oracle can
+    misbehave at a chosen inner step; F(x) = 0.5||x||^2 otherwise."""
+    return StochasticProblem(
+        sample=None,
+        stoch_value=lambda x, j: 0.5 * float(x @ x),
+        stoch_subgrad=subgrad,
+        rho=1.0, lip=10.0, dim=dim,
+        presample=lambda rng, n: np.arange(n),
+    )
+
+
+def run_one_step(prob, projector=None):
+    return pgsg_run(prob, np.zeros(prob.dim), outer_iters=1,
+                    schedule=default_schedule(prob.rho),
+                    rng=RandomStream(13, stream_id=7), projector=projector)
+
+
+class TestFiniteness:
+    """The sum of v is tested once per outer step; a replay names the
+    first non-finite v as a test on every step would."""
+
+    def test_nan_names_its_step(self):
+        prob = step_indexed_problem(
+            lambda x, j: np.full(3, np.nan) if j == 7 else x)
+        with pytest.raises(OracleFailure, match="outer 0, inner 7$"):
+            run_one_step(prob)
+
+    def test_inf_clipped_by_projector_still_raises(self):
+        # the box clamps y back to finite values after the inf step, so
+        # only the step direction shows the failure
+        prob = step_indexed_problem(
+            lambda x, j: np.full(3, np.inf) if j == 7 else x)
+        box = BoxIndicator(-np.ones(3), np.ones(3))
+        with pytest.raises(OracleFailure, match="outer 0, inner 7$"):
+            run_one_step(prob, projector=box)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sum_of_finite_steps_does_not_raise(self):
+        prob = step_indexed_problem(lambda x, j: np.full(3, 1e308))
+        box = BoxIndicator(-np.ones(3), np.ones(3))
+        rep = run_one_step(prob, projector=box)
+        # y_0 = 0, then every iterate is clamped to the corner -1
+        n = _INNER_OFFSET - 1
+        assert np.array_equal(rep.solution, np.full(3, -n / (n + 1)))
+
+    def test_exception_after_non_finite_step_is_oracle_failure(self):
+        def subgrad(x, j):
+            if np.isnan(x).any():
+                raise ValueError("NaN input")
+            return np.full(3, np.nan) if j == 7 else x
+
+        with pytest.raises(OracleFailure, match="outer 0, inner 7$"):
+            run_one_step(step_indexed_problem(subgrad))
+
+    def test_exception_before_any_non_finite_step_is_reraised(self):
+        def subgrad(x, j):
+            if j == 7:
+                raise ValueError("oracle down")
+            return x
+
+        with pytest.raises(ValueError, match="oracle down"):
+            run_one_step(step_indexed_problem(subgrad))

@@ -132,6 +132,34 @@ class TestStructuralInvariants:
                 for s in range(200)]
         assert abs(np.mean(vals) - sp.full_value(x)) < 0.2 * abs(sp.full_value(x))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_phase_retrieval_subgradient_matches_np_sign_formula(self):
+        # [ORACLE] the textbook (2 t sign(t^2 - b_i^2)) a_i, bit for bit,
+        # including a zero residual, a NaN point and an infinite point
+        inst = make_phase_retrieval(d=5, m=30, outlier_frac=0.1, seed=12)
+        A, b = inst.arrays["A"], inst.arrays["b"]
+        b2 = b * b
+
+        def textbook(x, i):
+            a = A[i]
+            t = float(a @ x)
+            return (2.0 * t * np.sign(t * t - b2[i])) * a
+
+        points = [RandomStream(105).normal(5) for _ in range(20)]
+        points += [np.zeros(5), np.full(5, np.nan), np.full(5, np.inf)]
+        # a_i . x = b_i exactly for x = (b_i / A[i, 0]) e_0 on some row
+        for i in range(30):
+            x = np.zeros(5)
+            x[0] = b[i] / A[i, 0]
+            if A[i, 0] * x[0] == b[i]:
+                points.append(x)
+                break
+        assert len(points) == 24
+        for x in points:
+            for i in range(30):
+                new, ref = inst.stochastic.stoch_subgrad(x, i), textbook(x, i)
+                assert new.tobytes() == ref.tobytes(), (x, i)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("name", sorted(GENERATORS))
