@@ -46,7 +46,6 @@ def evals_to_gap(rep):
 runs = {}
 for label, kap, budget in [("catalyst-gd", kappa, 10**8),
                            ("plain gd", 0.0, 10**9)]:
-    prob.grad_evals = 0
     rep = catalyst_run(prob, inner_method("gd"), kap, x0,
                        outer_iters=5000, eps=1e-7, inner_budget=budget)
     runs[label] = rep

@@ -113,7 +113,6 @@ def _make_finite_sum_runner(inner_name, accelerated):
     def run(instance, p, seed):
         _need(instance, FiniteSumProblem, inner_name)
         prob = instance.problem
-        prob.grad_evals = 0
         inner = inner_method(inner_name)
         if accelerated:
             kappa = p["kappa"] if p["kappa"] is not None else choose_kappa(prob, inner_name)
@@ -196,6 +195,7 @@ def _coerce(raw: str):
 
 # Value ranges the generators require, checked at parse time so that a bad
 # value exits 2 with its key named instead of failing inside every run.
+# Every integer parameter of a generator is a size and must be positive.
 _PROBLEM_RANGES = {
     ("ridge", "cond"): ("> 1", lambda v: v > 1.0),
     ("phase_retrieval", "outlier_frac"): ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
@@ -204,9 +204,10 @@ _PROBLEM_RANGES = {
 }
 
 
-def _generator_params(name: str) -> set:
-    sig = inspect.signature(GENERATORS[name])
-    return set(sig.parameters) - {"seed"}
+def _generator_params(name: str) -> dict:
+    """The generator's parameters other than ``seed``, by name."""
+    sig = inspect.signature(GENERATORS[name], eval_str=True)
+    return {k: p for k, p in sig.parameters.items() if k != "seed"}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -254,20 +255,30 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if pname not in GENERATORS:
         raise ConfigError("unknown problem %r (see --list-problems)" % pname,
                           line=lines[("problem", "name")])
-    allowed = _generator_params(pname)
+    params = _generator_params(pname)
     for k, v in prob.items():
         if k == "name":
             continue
-        if k not in allowed:
+        if k not in params:
             raise ConfigError("unknown key 'problem.%s' for problem %r" % (k, pname),
                               line=lines[("problem", k)])
         if not isinstance(v, (int, float)):
             raise ConfigError("problem.%s must be a number, got %r" % (k, v),
                               line=lines[("problem", k)])
+        if params[k].annotation is int and not (isinstance(v, int) and v >= 1):
+            raise ConfigError("problem.%s must be a positive integer, got %r" % (k, v),
+                              line=lines[("problem", k)])
         rule = _PROBLEM_RANGES.get((pname, k))
         if rule and not rule[1](v):
             raise ConfigError("problem.%s must be %s, got %r" % (k, rule[0], v),
                               line=lines[("problem", k)])
+    for k, p in params.items():
+        if p.default is p.empty and k not in prob:
+            raise ConfigError("missing required key 'problem.%s' for problem %r"
+                              % (k, pname))
+    if pname == "robust_pca" and prob["r"] > min(prob["mrows"], prob["ncols"]):
+        raise ConfigError("problem.r must be <= min(problem.mrows, problem.ncols), "
+                          "got %r" % prob["r"], line=lines[("problem", "r")])
 
     # solver arms
     arms = []

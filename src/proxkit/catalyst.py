@@ -301,9 +301,14 @@ def catalyst_run(
 
     kappa = 0 degenerates to a single call of the inner method on the
     original problem (q = 1 leaves no extrapolation to do).
+
+    Evaluations are counted from the start of this run, so runs on a
+    shared instance report the same history; ``problem.grad_evals`` keeps
+    the instance's running total.
     """
     if rng is None:
         rng = RandomStream(0, stream_id=17)
+    evals0 = problem.grad_evals
     x = np.asarray(x0, dtype=float).copy()
     report = SolverReport(seed=rng.seed, config_echo={
         "solver": "catalyst-%s" % inner.name, "kappa": kappa, "eps": eps,
@@ -315,9 +320,9 @@ def catalyst_run(
         sub = Subproblem(problem, 0.0, x.copy())
         sol, bound, calls, _ = inner.run(sub, x, eps, inner_budget, rng=rng, trace=trace)
         for t, (evals, val) in enumerate(trace):
-            report.record(t, None, val, np.nan, evals)
+            report.record(t, None, val, np.nan, evals - evals0)
         report.solution = sol
-        report.oracle_calls = {"grad_i": problem.grad_evals}
+        report.oracle_calls = {"grad_i": problem.grad_evals - evals0}
         report.validate()
         return report
 
@@ -352,11 +357,11 @@ def catalyst_run(
         grad = sub_grad - kappa * (x_new - center)
         outer_bound = _certified_bound(Subproblem(problem, 0.0, x_new), x_new, grad)
         report.record(t, x_new, problem.value(x_new),
-                      float(np.linalg.norm(grad)), problem.grad_evals)
+                      float(np.linalg.norm(grad)), problem.grad_evals - evals0)
         if outer_bound <= eps:
             break
 
     report.solution = x_prev
-    report.oracle_calls = {"grad_i": problem.grad_evals}
+    report.oracle_calls = {"grad_i": problem.grad_evals - evals0}
     report.validate()
     return report

@@ -3,12 +3,13 @@ audits, adjoint-consistency checks, and matrix-free operator norms."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ProbeFailure
-from .oracles import SmoothMap, SubgradientOracle
+from .oracles import SmoothMap, SubgradientOracle, euclidean_norm
 from .rng import RandomStream
 
 
@@ -133,13 +134,13 @@ def operator_norm(apply_fwd, apply_adj, dim: int, iters: int = 20, seed: int = 0
     given matrix-free forward and adjoint products."""
     rng = RandomStream(seed, stream_id=7777)
     v = rng.normal(dim)
-    v /= np.linalg.norm(v)
+    v /= euclidean_norm(v)
     sigma = 0.0
     for _ in range(iters):
         w = apply_adj(apply_fwd(v))
-        nw = np.linalg.norm(w)
+        nw = euclidean_norm(w)
         if nw == 0.0:
             return 0.0
-        sigma = np.sqrt(nw)
+        sigma = math.sqrt(nw)
         v = w / nw
-    return float(sigma)
+    return sigma

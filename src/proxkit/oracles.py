@@ -9,6 +9,7 @@ solver only ever sees a vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -27,6 +28,22 @@ def as_vector(x) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise OracleFailure("vector contains non-finite entries")
     return v
+
+
+def euclidean_norm(x) -> float:
+    """||x||_2 of a float array, by np.linalg.norm's own arithmetic for
+    real input (flatten, then the square root of the dot product) without
+    its call overhead.  The flatten matters: BLAS sums a strided vector's
+    dot product in another order than a contiguous one."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def _clip(u, b):
+    """np.clip(u, -b, b) bit for bit, NaN and signed zeros included.  On a
+    tie (0.0 against -0.0) np.maximum and np.minimum return their first
+    argument and clip returns the bound, so the bound goes first."""
+    return np.minimum(b, np.maximum(-b, u))
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +92,7 @@ class L1Norm:
         return self.weight * np.sign(np.asarray(x, dtype=float))
 
     def dual_project(self, u):
-        return np.clip(u, -self.weight, self.weight)
+        return _clip(u, self.weight)
 
 
 class L1Mean:
@@ -103,8 +120,7 @@ class L1Mean:
         return np.sign(np.asarray(r, dtype=float)) / self.m
 
     def dual_project(self, u):
-        b = 1.0 / self.m
-        return np.clip(u, -b, b)
+        return _clip(u, 1.0 / self.m)
 
 
 class L2Norm:
@@ -114,25 +130,25 @@ class L2Norm:
     lip = 1.0
 
     def value(self, r):
-        return float(np.linalg.norm(r))
+        return euclidean_norm(np.asarray(r, dtype=float))
 
     def prox(self, nu, z):
         z = np.asarray(z, dtype=float)
-        nz = np.linalg.norm(z)
+        nz = euclidean_norm(z)
         if nz <= nu:
             return np.zeros_like(z)
         return (1.0 - nu / nz) * z
 
     def subgrad(self, r):
         r = np.asarray(r, dtype=float)
-        nr = np.linalg.norm(r)
+        nr = euclidean_norm(r)
         if nr == 0.0:
             return np.zeros_like(r)
         return r / nr
 
     def dual_project(self, u):
         u = np.asarray(u, dtype=float)
-        nu_ = np.linalg.norm(u)
+        nu_ = euclidean_norm(u)
         if nu_ <= 1.0:
             return u.copy()
         return u / nu_

@@ -71,11 +71,16 @@ def make_phase_retrieval(d: int, m: int, outlier_frac: float = 0.0,
     sigma = _spectral_norm(A)
     beta = 1.1 * 2.0 * sigma * sigma / m  # Gauss-Newton operator bound
 
+    At = A.T
+
     def linearize(x):
+        # 2.0 * w * (A @ v) multiplies 2.0 * w first, so hoisting it keeps
+        # the products bit for bit
         w = A @ x
+        w2 = 2.0 * w
         return (w * w - b2,
-                lambda v: 2.0 * w * (A @ v),
-                lambda u: 2.0 * (A.T @ (u * w)))
+                lambda v: w2 * (A @ v),
+                lambda u: 2.0 * (At @ (u * w)))
 
     c = SmoothMap(
         eval=lambda x: (A @ x) ** 2 - b2,

@@ -16,6 +16,8 @@ gradient norm of the Moreau envelope of F with parameter 1/(2 beta).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,41 +89,39 @@ def _solve_model_subproblem(
     K is the Jacobian of c at x_t and e = c(x_t) - K x_t.  Returns
     (x, dual, gap).  The dual feasible set is dom h*, reached through
     h.dual_project, so the dual objective never involves h* explicitly.
+
+    Each iteration is the textbook accelerated Chambolle-Pock update bit
+    for bit (tests/test_proxlinear.py keeps that loop as the reference):
+    every floating-point operation keeps its operands, and an in-place
+    update only swaps the operands of a commutative one.  The loop writes
+    into its own buffers only, never into an array an oracle returned
+    (c's products, g.prox, h.dual_project) or will return.  Its Jacobian
+    products are tallied locally and added to ``problem.counters`` once,
+    on whichever exit the solve takes.
     """
-    g, h = problem.g, problem.h
-    if problem.c.linearize is not None:
-        c0, K_raw, Kt_raw = problem.c.linearize(x_t)
-        problem.counters["c_eval"] += 1
+    g, h, c = problem.g, problem.h, problem.c
+    x_t = np.asarray(x_t, dtype=float)
+    jvps = vjps = k = 0
 
-        def K(v):
-            problem.counters["c_jvp"] += 1
-            return K_raw(v)
+    def fwd(v):  # counted product, for everything outside the main loop
+        nonlocal jvps
+        jvps += 1
+        return K(v)
 
-        def Kt(u):
-            problem.counters["c_vjp"] += 1
-            return Kt_raw(u)
-    else:
-        c0 = problem.c_eval(x_t)
-        K = lambda v: problem.c_jvp(x_t, v)
-        Kt = lambda u: problem.c_vjp(x_t, u)
-    e = c0 - K(x_t)
-
-    x = x_t.copy()
-    xbar = x.copy()
-    u = h.dual_project(np.zeros(c0.size)) if warm_dual is None else warm_dual.copy()
-
-    tau = sigma = _pdhg_step(K, Kt, x_t.size)
-    gamma = beta  # strong convexity carried by the quadratic penalty
+    def adj(u):
+        nonlocal vjps
+        vjps += 1
+        return Kt(u)
 
     def primal_value(xv):
         return (
             g.value(xv)
-            + h.value(K(xv) + e)
+            + h.value(fwd(xv) + e)
             + 0.5 * beta * float((xv - x_t) @ (xv - x_t))
         )
 
     def dual_value(uv):
-        q = Kt(uv)
+        q = adj(uv)
         xhat = g.prox(1.0 / beta, x_t - q / beta)
         return (
             float(uv @ e)
@@ -130,49 +130,88 @@ def _solve_model_subproblem(
             + 0.5 * beta * float((xhat - x_t) @ (xhat - x_t))
         )
 
-    best_x, best_gap = x.copy(), np.inf
-    stagnant = 0
-    last_improve = 0
-    x_prev_check = x.copy()
-    for k in range(1, max_iters + 1):
-        u = h.dual_project(u + sigma * (K(xbar) + e))
-        q = Kt(u)
-        v = x - tau * q
-        scale = 1.0 / (1.0 + tau * beta)
-        x_new = g.prox(tau * scale, (v + tau * beta * x_t) * scale)
-        theta = 1.0 / np.sqrt(1.0 + 2.0 * gamma * tau)
-        tau *= theta
-        sigma /= theta
-        xbar = x_new + theta * (x_new - x)
-        x = x_new
+    try:
+        if c.linearize is not None:
+            c0, K, Kt = c.linearize(x_t)
+        else:
+            c0 = c.eval(x_t)
+            K = functools.partial(c.jvp, x_t)
+            Kt = functools.partial(c.vjp, x_t)
+        e = c0 - fwd(x_t)
 
-        if k % check_every == 0 or k == max_iters:
-            gap = primal_value(x) - dual_value(u)
-            if gap < 0.75 * best_gap:
-                last_improve = k
-            if gap < best_gap:
-                best_gap = gap
-                best_x = x.copy()
-            if gap <= gap_tol:
-                return x, u, float(max(gap, 0.0))
-            # stop if the iterate has hit machine precision, or the
-            # computable gap has stalled at its numerical floor
-            if np.linalg.norm(x - x_prev_check) <= 1e-15 * (1.0 + np.linalg.norm(x)):
-                stagnant += 1
-                if stagnant >= 3:
+        x = x_t.copy()
+        xbar = x.copy()
+        v = np.empty_like(x)
+        if warm_dual is None:
+            u = h.dual_project(np.zeros(c0.size))
+        else:
+            u = warm_dual.copy()
+
+        tau = sigma = _pdhg_step(fwd, adj, x_t.size)
+        gamma = beta  # strong convexity carried by the quadratic penalty
+
+        best_x, best_gap = x.copy(), np.inf
+        stagnant = 0
+        last_improve = 0
+        x_prev_check = x.copy()
+        for k in range(1, max_iters + 1):
+            # u = dual_project(u + sigma * (K xbar + e)); w is fresh, as
+            # dual_project may return its argument
+            w = np.add(K(xbar), e)
+            w *= sigma
+            w += u
+            u = h.dual_project(w)
+            # v = x - tau * K^T u
+            np.multiply(Kt(u), tau, out=v)
+            np.subtract(x, v, out=v)
+            # x_new = prox(tau * scale, (v + tau * beta * x_t) * scale); z
+            # is fresh, as g.prox may return its argument
+            scale = 1.0 / (1.0 + tau * beta)
+            z = np.multiply(x_t, tau * beta)
+            z += v
+            z *= scale
+            x_new = g.prox(tau * scale, z)
+            theta = 1.0 / math.sqrt(1.0 + 2.0 * gamma * tau)
+            tau *= theta
+            sigma /= theta
+            # xbar = x_new + theta * (x_new - x)
+            np.subtract(x_new, x, out=xbar)
+            xbar *= theta
+            xbar += x_new
+            x = x_new
+
+            if k % check_every == 0 or k == max_iters:
+                gap = primal_value(x) - dual_value(u)
+                if gap < 0.75 * best_gap:
+                    last_improve = k
+                if gap < best_gap:
+                    best_gap = gap
+                    best_x = x.copy()
+                if gap <= gap_tol:
+                    return x, u, float(max(gap, 0.0))
+                # stop if the iterate has hit machine precision, or the
+                # computable gap has stalled at its numerical floor
+                if np.linalg.norm(x - x_prev_check) <= 1e-15 * (1.0 + np.linalg.norm(x)):
+                    stagnant += 1
+                    if stagnant >= 3:
+                        return best_x, u, float(max(best_gap, 0.0))
+                else:
+                    stagnant = 0
+                if k - last_improve >= 10_000:
                     return best_x, u, float(max(best_gap, 0.0))
-            else:
-                stagnant = 0
-            if k - last_improve >= 10_000:
-                return best_x, u, float(max(best_gap, 0.0))
-            x_prev_check = x.copy()
+                x_prev_check = x.copy()
 
-    raise BudgetExceeded(
-        "model subproblem: gap %.3e > tol %.3e after %d iterations"
-        % (best_gap, gap_tol, max_iters),
-        best_point=best_x,
-        achieved=best_gap,
-    )
+        raise BudgetExceeded(
+            "model subproblem: gap %.3e > tol %.3e after %d iterations"
+            % (best_gap, gap_tol, max_iters),
+            best_point=best_x,
+            achieved=best_gap,
+        )
+    finally:
+        # the main loop makes one product of each kind per iteration
+        problem.counters["c_eval"] += 1
+        problem.counters["c_jvp"] += jvps + k
+        problem.counters["c_vjp"] += vjps + k
 
 
 def proxlinear_step(

@@ -46,6 +46,7 @@ def _abs_x2_minus_one():
     return CompositeProblem(Zero(), L1Norm(1.0), c)
 
 
+@pytest.mark.slow
 def test_criterion_1_moreau_gradient_identity():
     """(z - prox)/nu matches the finite-difference gradient of f_nu to
     1e-4 * (1 + ||grad f_nu||) at 50 random points per test function."""
@@ -94,6 +95,7 @@ def test_criterion_2_proxlinear_equals_ista_on_lasso():
     assert worst <= 1e-8, "max per-iterate deviation %.3e" % worst
 
 
+@pytest.mark.slow
 def test_criterion_3_sandwich_bound():
     """0.25 ||grad F_{1/(2 beta)}|| <= ||G|| <= 3 ||grad F_{1/(2 beta)}||
     at 100 random points (LASSO and d=10 phase retrieval), zero
@@ -218,6 +220,7 @@ def test_criterion_7_momentum_recurrence():
         assert abs(a - math.sqrt(q)) <= 1e-10
 
 
+@pytest.mark.slow
 def test_criterion_8_pgsg_progress():
     """Robust phase retrieval d=10, m=80, 10% outliers, default schedule,
     200 outer iterations, 20 seeds: the median squared envelope gradient

@@ -15,6 +15,7 @@ from proxkit import (
     parse_config_text,
     run_experiment,
 )
+import proxkit.bench
 from proxkit.cli import main as cli_main
 
 LASSO_CFG = """\
@@ -71,6 +72,21 @@ class TestConfigParsing:
                 "seeds = 0\n" % (problem, key, value))
         with pytest.raises(ConfigError, match="line 2: problem.%s must be" % key):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("problem.name = lasso\nproblem.m = 20\n",
+         "missing required key 'problem.d'"),
+        ("problem.name = lasso\nproblem.d = 2.5\nproblem.m = 20\n",
+         "line 2: problem.d must be a positive integer, got 2.5"),
+        ("problem.name = lasso\nproblem.d = -3\nproblem.m = 20\n",
+         "line 2: problem.d must be a positive integer, got -3"),
+        ("problem.name = robust_pca\nproblem.mrows = 4\nproblem.ncols = 4\n"
+         "problem.r = 9\n",
+         r"line 4: problem.r must be <= min\(problem.mrows, problem.ncols\), got 9"),
+    ])
+    def test_generator_arguments_checked(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text + "solver.name = proxlinear\nseeds = 0\n")
 
     def test_missing_seeds(self):
         with pytest.raises(ConfigError, match="seeds"):
@@ -236,18 +252,31 @@ class TestCli:
         assert "line 2: problem.d must be a number" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_non_proxkit_exception_still_writes_bundle(self, tmp_path, capsys, jobs):
-        # the generator raises ValueError (rank 9 > 4) in every task
+    def test_bad_generator_argument_exits_2(self, tmp_path, capsys):
         p = tmp_path / "rpca.cfg"
         p.write_text("problem.name = robust_pca\nproblem.mrows = 4\n"
                      "problem.ncols = 4\nproblem.r = 9\nsolver.name = proxlinear\n"
                      "seeds = 0, 1\n")
         out = tmp_path / "o"
+        assert cli_main(["run", str(p), "--out", str(out)]) == 2
+        assert "line 4: problem.r must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_proxkit_exception_still_writes_bundle(self, tmp_path, capsys,
+                                                       monkeypatch, jobs):
+        # instance generation raises ValueError in every task
+        def failing_build(config, seed):
+            raise ValueError("generator failed\n  for seed %d" % seed)
+
+        monkeypatch.setattr(proxkit.bench, "_build_instance", failing_build)
+        p = tmp_path / "lasso.cfg"
+        p.write_text(LASSO_CFG)
+        out = tmp_path / "o"
         assert cli_main(["run", str(p), "--out", str(out), "--jobs", jobs]) == 3
         manifest = (out / "MANIFEST").read_text().splitlines()
-        assert ("failed solver_seed0.csv: ValueError: target rank exceeds "
-                "matrix dimensions") in manifest
+        assert ("failed solver_seed0.csv: ValueError: generator failed for "
+                "seed 0") in manifest
         assert sum(ln.startswith("failed ") for ln in manifest) == 2
         assert (out / "summary.csv").exists()
         assert "Traceback" in capsys.readouterr().err

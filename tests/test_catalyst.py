@@ -156,6 +156,22 @@ class TestCatalystRun:
         assert np.array_equal(rep.solution, x_ref)
         assert rep.evals_history[-1] == calls
 
+    @pytest.mark.parametrize("arm", ["gd", "svrg"])
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_back_to_back_runs_report_equal_counts(self, arm, accelerated):
+        # evaluations count from each run's start; the instance keeps the
+        # running total
+        prob = make_ridge(d=10, m=40, cond=1000.0, seed=5).problem
+        kappa = choose_kappa(prob, arm) if accelerated else 0.0
+        reps = [catalyst_run(prob, inner_method(arm), kappa, np.zeros(10),
+                             outer_iters=2000, eps=1e-9,
+                             rng=RandomStream(59, stream_id=17))
+                for _ in range(2)]
+        assert reps[0].evals_history == reps[1].evals_history
+        assert reps[0].oracle_calls == reps[1].oracle_calls
+        assert prob.grad_evals == 2 * reps[0].oracle_calls["grad_i"]
+        assert reps[0].evals_history[-1] <= reps[0].oracle_calls["grad_i"]
+
     def test_outer_loop_reaches_optimum(self):
         inst = make_ridge(d=10, m=40, cond=1000.0, seed=2)
         prob = inst.problem

@@ -16,7 +16,7 @@ from proxkit import (
     SquaredL2,
     Zero,
 )
-from proxkit.oracles import ShiftedQuadraticProx
+from proxkit.oracles import ShiftedQuadraticProx, euclidean_norm
 
 
 def brute_force_prox(value, nu, z, lo=-5.0, hi=5.0, n=50_001):
@@ -79,6 +79,28 @@ class TestDualProjections:
         h = L1Mean(5)
         u = np.array([-3.0, 0.1, 0.5])
         assert np.allclose(h.dual_project(u), np.clip(u, -0.2, 0.2))
+
+    @pytest.mark.parametrize("h,b", [(L1Norm(0.7), 0.7), (L1Mean(7), 1.0 / 7),
+                                     (L1Norm(0.0), 0.0)])
+    @pytest.mark.parametrize("n", [1, 13, 160])
+    def test_box_projection_is_np_clip_bit_for_bit(self, h, b, n):
+        # NaN of either sign, signed zeros, infinities, the bounds and
+        # their neighbours; sizes below and above the SIMD widths
+        special = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, b, -b,
+                   np.nextafter(b, 2.0), np.nextafter(-b, -2.0), 5e-324]
+        rng = RandomStream(23)
+        for _ in range(20):
+            u = np.concatenate([special, rng.normal(n)])
+            u = u[rng.integers(0, u.size, size=n)]
+            got, ref = h.dual_project(u), np.clip(u, -b, b)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_euclidean_norm_is_linalg_norm(self):
+        rng = RandomStream(24)
+        for n in (1, 7, 160):
+            M = 10.0 ** rng.uniform(-3, 3) * rng.normal((n, 3))
+            for x in (M[:, 0].copy(), M[:, 1], M.ravel()[:n]):  # strided too
+                assert euclidean_norm(x) == np.linalg.norm(x)
 
     def test_l2_ball(self):
         h = L2Norm()

@@ -7,10 +7,12 @@ from proxkit import (
     BudgetExceeded,
     CompositeProblem,
     L1Mean,
+    L1Norm,
     RandomStream,
     SmoothMap,
     Zero,
     estimate_local_rate,
+    make_box_nls,
     make_lasso,
     make_phase_retrieval,
     make_robust_pca,
@@ -20,6 +22,7 @@ from proxkit import (
     prox_map,
 )
 import proxkit.proxlinear
+from proxkit.oracles import ShiftedQuadraticProx
 from proxkit.proxlinear import _pdhg_step, _solve_model_subproblem
 
 
@@ -83,6 +86,161 @@ class TestModelSubproblem:
                 step = _pdhg_step(lambda v: c.jvp(z, v), lambda u: c.vjp(z, u),
                                   c.dim_in)
                 assert step * step * np.linalg.norm(K, 2) ** 2 <= 1.0
+
+
+def _textbook_pdhg(problem, x_t, beta, gap_tol, max_iters=200_000,
+                   warm_dual=None, check_every=25):
+    """The accelerated Chambolle-Pock loop written the plain way: a fresh
+    array per operation and a counter bump per oracle call.  The reference
+    that _solve_model_subproblem must match bit for bit."""
+    g, h = problem.g, problem.h
+    if problem.c.linearize is not None:
+        c0, K_raw, Kt_raw = problem.c.linearize(x_t)
+        problem.counters["c_eval"] += 1
+
+        def K(v):
+            problem.counters["c_jvp"] += 1
+            return K_raw(v)
+
+        def Kt(u):
+            problem.counters["c_vjp"] += 1
+            return Kt_raw(u)
+    else:
+        c0 = problem.c_eval(x_t)
+        K = lambda v: problem.c_jvp(x_t, v)
+        Kt = lambda u: problem.c_vjp(x_t, u)
+    e = c0 - K(x_t)
+
+    x = x_t.copy()
+    xbar = x.copy()
+    u = h.dual_project(np.zeros(c0.size)) if warm_dual is None else warm_dual.copy()
+
+    tau = sigma = _pdhg_step(K, Kt, x_t.size)
+    gamma = beta
+
+    def primal_value(xv):
+        return (g.value(xv) + h.value(K(xv) + e)
+                + 0.5 * beta * float((xv - x_t) @ (xv - x_t)))
+
+    def dual_value(uv):
+        q = Kt(uv)
+        xhat = g.prox(1.0 / beta, x_t - q / beta)
+        return (float(uv @ e) + g.value(xhat) + float(q @ xhat)
+                + 0.5 * beta * float((xhat - x_t) @ (xhat - x_t)))
+
+    best_x, best_gap = x.copy(), np.inf
+    stagnant = 0
+    last_improve = 0
+    x_prev_check = x.copy()
+    for k in range(1, max_iters + 1):
+        u = h.dual_project(u + sigma * (K(xbar) + e))
+        q = Kt(u)
+        v = x - tau * q
+        scale = 1.0 / (1.0 + tau * beta)
+        x_new = g.prox(tau * scale, (v + tau * beta * x_t) * scale)
+        theta = 1.0 / np.sqrt(1.0 + 2.0 * gamma * tau)
+        tau *= theta
+        sigma /= theta
+        xbar = x_new + theta * (x_new - x)
+        x = x_new
+
+        if k % check_every == 0 or k == max_iters:
+            gap = primal_value(x) - dual_value(u)
+            if gap < 0.75 * best_gap:
+                last_improve = k
+            if gap < best_gap:
+                best_gap = gap
+                best_x = x.copy()
+            if gap <= gap_tol:
+                return x, u, float(max(gap, 0.0))
+            if np.linalg.norm(x - x_prev_check) <= 1e-15 * (1.0 + np.linalg.norm(x)):
+                stagnant += 1
+                if stagnant >= 3:
+                    return best_x, u, float(max(best_gap, 0.0))
+            else:
+                stagnant = 0
+            if k - last_improve >= 10_000:
+                return best_x, u, float(max(best_gap, 0.0))
+            x_prev_check = x.copy()
+    raise BudgetExceeded("model subproblem", best_point=best_x, achieved=best_gap)
+
+
+class _ZeroReturningItsArgument(Zero):
+    def prox(self, nu, z):
+        return z
+
+
+class _L1MeanProjectingInPlace(L1Mean):
+    def dual_project(self, u):
+        return np.clip(u, -1.0 / self.m, 1.0 / self.m, out=u)
+
+
+def _oracles_return_their_input(seed=50, m=12):
+    """c(x) = x - b under g = 0 and the mean l1 loss, with every oracle
+    handing back the array it was given: jvp returns v, vjp u, g.prox z,
+    and h.dual_project its argument, projected in place.  A loop that
+    writes into oracle output, or reuses a buffer it handed to an oracle
+    while the result is live, gets other numbers."""
+    b = 0.05 * RandomStream(seed).normal(m)  # residuals near 1/m: u not pinned
+    c = SmoothMap(eval=lambda x: x - b, jvp=lambda x, v: v, vjp=lambda x, u: u,
+                  beta=0.0, dim_in=m, dim_out=m)
+    return CompositeProblem(_ZeroReturningItsArgument(), _L1MeanProjectingInPlace(m), c)
+
+
+def _abs_x2_minus_one_shifted():
+    """Criterion 1's |x^2 - 1|, as its composite prox map solves it."""
+    c = SmoothMap(eval=lambda x: x * x - 1.0, jvp=lambda x, v: 2.0 * x * v,
+                  vjp=lambda x, u: 2.0 * x * u, beta=2.0, dim_in=1, dim_out=1)
+    return CompositeProblem(ShiftedQuadraticProx(Zero(), 0.2, np.array([0.3])),
+                            L1Norm(1.0), c)
+
+
+_PDHG_CASES = {
+    # the linearize path
+    "phase_retrieval": (lambda: _criterion_4_start()[0].problem,
+                        lambda: _criterion_4_start()[1], 1e-13),
+    # jvp/vjp path, L1Norm h, a prox map's shifted g
+    "abs_x2_minus_one": (_abs_x2_minus_one_shifted, lambda: np.array([1.7]), 1e-12),
+    # L2Norm h, BoxIndicator g
+    "box_nls": (lambda: make_box_nls(d=5, m=8, seed=3).problem,
+                lambda: RandomStream(51).normal(5), 1e-12),
+    "robust_pca": (lambda: make_robust_pca(6, 5, 2, sparsity=0.1, seed=4).problem,
+                   lambda: RandomStream(52).normal(22), 1e-10),
+    "oracles_return_their_input": (_oracles_return_their_input,
+                                   lambda: 0.05 * RandomStream(53).normal(12), 1e-12),
+}
+
+
+def _pdhg_outcome(solve, make_problem, x_t, **kwargs):
+    problem = make_problem()
+    beta = max(problem.L * problem.beta, 1.0)
+    try:
+        x, u, gap = solve(problem, x_t, beta, **kwargs)
+    except BudgetExceeded as exc:
+        x, u, gap = exc.best_point, None, exc.achieved
+    return x, u, gap, dict(problem.counters)
+
+
+@pytest.mark.parametrize("case", sorted(_PDHG_CASES))
+@pytest.mark.parametrize("short", [False, True])
+def test_pdhg_loop_is_textbook_bit_for_bit(case, short):
+    # a full cold-started solve, and a warm-started one cut off by its
+    # iteration budget
+    make_problem, make_start, gap_tol = _PDHG_CASES[case]
+    x_t = make_start()
+    kwargs = {"gap_tol": gap_tol}
+    if short:
+        m = make_problem().c.dim_out
+        kwargs.update(max_iters=60, warm_dual=1e-3 * RandomStream(54).normal(m))
+    ref = _pdhg_outcome(_textbook_pdhg, make_problem, x_t, **kwargs)
+    new = _pdhg_outcome(_solve_model_subproblem, make_problem, x_t, **kwargs)
+    for a, b in zip(ref[:3], new[:3]):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert ref[3] == new[3]
+    assert new[3]["c_jvp"] > 60 and new[3]["c_eval"] == 1
+    assert np.array_equal(x_t, make_start())  # the anchor is left as it was
 
 
 class TestProxlinearStep:
