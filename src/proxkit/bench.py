@@ -201,6 +201,9 @@ _PROBLEM_RANGES = {
     ("phase_retrieval", "outlier_frac"): ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
     ("z2_sync", "edge_prob"): ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
     ("z2_sync", "flip_prob"): ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    ("robust_pca", "sparsity"): ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    ("lasso", "lam"): (">= 0", lambda v: v >= 0.0),
+    ("erm_logistic", "mu"): ("> 0", lambda v: v > 0.0),
 }
 
 
@@ -354,11 +357,11 @@ def emit_summary(reports) -> str:
     longest = max(reports, key=lambda r: len(r.iteration_index))
     iters = list(longest.iteration_index)
 
+    q = np.concatenate([np.percentile(obj, [50, 25, 75], axis=0),
+                        np.percentile(stat, [50, 25, 75], axis=0)]).T
     lines = [_SUMMARY_COLUMNS]
     for k in range(obj.shape[1]):
-        qo = np.percentile(obj[:, k], [50, 25, 75])
-        qs = np.percentile(stat[:, k], [50, 25, 75])
-        lines.append(",".join([str(iters[k])] + [_fmt(v) for v in np.concatenate([qo, qs])]))
+        lines.append(",".join([str(iters[k])] + [_fmt(v) for v in q[k]]))
     return "\n".join(lines) + "\n"
 
 

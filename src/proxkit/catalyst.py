@@ -96,9 +96,6 @@ class Subproblem:
     def full_gradient(self, x):
         return self.problem.full_gradient(x) + self.kappa * (x - self.center)
 
-    def component_gradient(self, i, x):
-        return self.problem.component_gradient(i, x) + self.kappa * (x - self.center)
-
     def smooth_value(self, x):
         d = x - self.center
         return self.problem.smooth_value(x) + 0.5 * self.kappa * float(d @ d)
@@ -192,16 +189,22 @@ def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
     stochastic draw costs exactly one fresh gradient evaluation and the
     total count is m * (full passes) + (stochastic draws).  The certified
     bound is evaluated at each anchor, where the full gradient is free.
+
+    The step x - eta (g_i(x) - G_i + mean + kappa (x - center)) is taken as
+    (1 - eta kappa) x - eta g_i(x) + S_i, S_i = eta (G_i - mean + kappa
+    center) tabled once per epoch; it rounds unlike the unfolded step.
     """
     if rng is None:
         rng = RandomStream(0, stream_id=31)
-    x = np.asarray(warm_start, dtype=float).copy()
+    x = np.array(warm_start, dtype=float)  # owned buffer, updated in place
     prob = sub.problem
     m = prob.m
     g = prob.g
     kappa, center = sub.kappa, sub.center
     eta = 1.0 / (10.0 * sub.beta)
+    shrink = 1.0 - eta * kappa
     use_prox = not isinstance(g, Zero)
+    grad_i = prob._grad_i
     calls0 = prob.grad_evals
     while True:
         anchor = x.copy()
@@ -216,13 +219,19 @@ def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
         if prob.grad_evals - calls0 >= budget:
             raise BudgetExceeded("svrg inner budget exhausted",
                                  best_point=anchor, achieved=bound)
-        idx = rng.integers(0, m, size=m)
-        for i in idx:
-            v = (prob.component_gradient(int(i), x) - anchor_grads[i]
-                 + mean_anchor + kappa * (x - center))
-            x = x - eta * v
-            if use_prox:
-                x = g.prox(eta, x)
+        rows = list(eta * (anchor_grads + (kappa * center - mean_anchor)))
+        idx = rng.integers(0, m, size=m).tolist()
+        k = -1
+        try:
+            for k, i in enumerate(idx):
+                step = grad_i(i, x) * eta
+                x *= shrink
+                x -= step
+                x += rows[i]
+                if use_prox:
+                    x[...] = g.prox(eta, x)
+        finally:
+            prob.grad_evals += k + 1  # one fresh gradient per draw begun
 
 
 @dataclass
@@ -310,10 +319,7 @@ def catalyst_run(
         rng = RandomStream(0, stream_id=17)
     evals0 = problem.grad_evals
     x = np.asarray(x0, dtype=float).copy()
-    report = SolverReport(seed=rng.seed, config_echo={
-        "solver": "catalyst-%s" % inner.name, "kappa": kappa, "eps": eps,
-        "warm_start_at": warm_start_at,
-    })
+    report = SolverReport(seed=rng.seed)
 
     if kappa == 0.0:
         trace = []

@@ -174,10 +174,7 @@ def proximal_point_run(
     point iterates coincides with the Moreau envelope gradient norm at x_t.
     """
     x = np.asarray(x0, dtype=float).copy()
-    report = SolverReport(seed=seed, config_echo={
-        "solver": "proximal_point", "nu": nu, "max_iters": max_iters,
-        "step_tol": step_tol,
-    })
+    report = SolverReport(seed=seed)
     counters = getattr(f, "counters", None)
     for t in range(max_iters):
         mp = prox_map(f, nu, x, inner_tol=inner_tol)

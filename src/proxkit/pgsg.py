@@ -145,10 +145,7 @@ def pgsg_run(
     """
     x = np.asarray(x0, dtype=float).copy()
     rho = problem.rho
-    report = SolverReport(seed=rng.seed, config_echo={
-        "solver": "pgsg", "outer_iters": outer_iters, "rho": rho,
-        "stat_every": stat_every,
-    })
+    report = SolverReport(seed=rng.seed)
 
     max_jt = schedule.inner_counts(outer_iters - 1)
     alphas = np.array([schedule.inner_steps(j) for j in range(max_jt)])
@@ -201,10 +198,6 @@ def pgsg_run(
     # the guarantee holds for an iterate drawn uniformly from x_1..x_T
     pick = int(rng.integers(1, outer_iters + 1))
     report.solution = visited[pick]
-    report.config_echo["sampled_iterate_index"] = pick
-    if report.stationarity_history:
-        best = int(np.argmin(report.stationarity_history))
-        report.config_echo["best_recorded_iteration"] = report.iteration_index[best]
     report.oracle_calls = {"stoch_subgrad": subgrad_evals}
     report.validate()
     return report

@@ -327,8 +327,13 @@ def make_ridge(d: int, m: int, cond: float = 1e4, seed: int = 0) -> SyntheticIns
     mu = beta_data / (cond - 1.0)
     beta_i = beta_data + mu
 
+    rows, b_list = list(A), b.tolist()
+
     def grad_i(i, x):
-        return (float(A[i] @ x) - b[i]) * A[i] + mu * x
+        a = rows[i]
+        g = mu * x
+        g += (float(a.dot(x)) - b_list[i]) * a
+        return g
 
     def value_i(i, x):
         r = float(A[i] @ x) - b[i]

@@ -277,10 +277,7 @@ def proxlinear_run(
     if inner_tol is None:
         inner_tol = stat_tol / 100.0
 
-    report = SolverReport(seed=seed, config_echo={
-        "solver": "proxlinear", "beta": beta, "outer_iters": outer_iters,
-        "stat_tol": stat_tol, "inner_tol": inner_tol,
-    })
+    report = SolverReport(seed=seed)
 
     dual = None
     gap_tol = max(inner_tol, _FIRST_INNER_TOL) if adaptive_inner else inner_tol

@@ -23,7 +23,6 @@ class SolverReport:
     iteration_index: list = field(default_factory=list)
     oracle_calls: dict = field(default_factory=dict)
     seed: int = 0
-    config_echo: dict = field(default_factory=dict)
     solution: np.ndarray | None = None
 
     def record(self, it, x, objective, stationarity, evals, keep_iterate=False):

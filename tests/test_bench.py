@@ -66,6 +66,11 @@ class TestConfigParsing:
         ("phase_retrieval", "outlier_frac", "1.0"),
         ("z2_sync", "edge_prob", "0"),
         ("z2_sync", "flip_prob", "-0.1"),
+        ("robust_pca", "sparsity", "2"),
+        ("robust_pca", "sparsity", "-0.5"),
+        ("lasso", "lam", "-0.1"),
+        ("erm_logistic", "mu", "0"),
+        ("erm_logistic", "mu", "nan"),
     ])
     def test_out_of_range_problem_value_rejected(self, problem, key, value):
         text = ("problem.name = %s\nproblem.%s = %s\nsolver.name = proxlinear\n"
@@ -130,6 +135,34 @@ class TestEmitSummary:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             emit_summary([])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_per_column_percentiles(self, seed):
+        # one np.percentile call per history gives the bytes of one call
+        # per column, NaN and tied columns included
+        rng = np.random.default_rng(seed)
+        n_rep = int(rng.integers(1, 8))
+        reps = []
+        for _ in range(n_rep):
+            n = int(rng.integers(1, 30))
+            obj = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8)
+            stat = np.round(rng.uniform(size=n), 1)  # many ties
+            obj[rng.uniform(size=n) < 0.1] = np.nan
+            stat[rng.uniform(size=n) < 0.1] = np.nan
+            rep = SolverReport()
+            for t in range(n):
+                rep.record(t, None, obj[t], stat[t], t)
+            reps.append(rep)
+        obj = proxkit.bench._padded_columns(reps, "objective_history")
+        stat = proxkit.bench._padded_columns(reps, "stationarity_history")
+        iters = max(reps, key=lambda r: len(r.iteration_index)).iteration_index
+        ref = [proxkit.bench._SUMMARY_COLUMNS]
+        for k in range(obj.shape[1]):
+            qo = np.percentile(obj[:, k], [50, 25, 75])
+            qs = np.percentile(stat[:, k], [50, 25, 75])
+            ref.append(",".join([str(iters[k])] + [proxkit.bench._fmt(v)
+                                                   for v in np.concatenate([qo, qs])]))
+        assert emit_summary(reps).encode() == ("\n".join(ref) + "\n").encode()
 
 
 class TestRunExperiment:
@@ -234,6 +267,21 @@ class TestCli:
                      "problem.cond = 1\nsolver.name = gd\nseeds = 0\n")
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "problem.cond" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem,key,value", [
+        ("robust_pca", "sparsity", "2"),
+        ("lasso", "lam", "-1"),
+        ("erm_logistic", "mu", "0"),
+    ])
+    def test_out_of_range_generator_value_exits_2(self, tmp_path, capsys,
+                                                  problem, key, value):
+        p = tmp_path / "bad.cfg"
+        p.write_text("problem.name = %s\nproblem.%s = %s\nsolver.name = gd\n"
+                     "seeds = 0\n" % (problem, key, value))
+        out = tmp_path / "o"
+        assert cli_main(["run", str(p), "--out", str(out)]) == 2
+        assert "line 2: problem.%s must be" % key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_seed_offset_exits_2(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "ok.cfg"

@@ -24,6 +24,44 @@ from proxkit import (
 from proxkit.oracles import L1Norm
 
 
+def _textbook_svrg(sub, warm_start, target_accuracy, budget, rng=None, trace=None):
+    """The unfolded SVRG step, kept as the reference for ``svrg_run``:
+    v = g_i(x) - G_i + mean + kappa (x - center), x = x - eta v, counted
+    one gradient at a time."""
+    from proxkit.catalyst import _certified_bound
+
+    if rng is None:
+        rng = RandomStream(0, stream_id=31)
+    x = np.asarray(warm_start, dtype=float).copy()
+    prob = sub.problem
+    m = prob.m
+    g = prob.g
+    kappa, center = sub.kappa, sub.center
+    eta = 1.0 / (10.0 * sub.beta)
+    use_prox = not isinstance(g, Zero)
+    calls0 = prob.grad_evals
+    while True:
+        anchor = x.copy()
+        anchor_grads = prob.component_gradients_table(anchor)  # m evals
+        mean_anchor = anchor_grads.mean(axis=0)
+        full = mean_anchor + kappa * (anchor - center)
+        bound = _certified_bound(sub, anchor, full)
+        if trace is not None:
+            trace.append((prob.grad_evals, prob.value(anchor)))
+        if bound <= target_accuracy:
+            return anchor, bound, prob.grad_evals - calls0, full
+        if prob.grad_evals - calls0 >= budget:
+            raise BudgetExceeded("svrg inner budget exhausted",
+                                 best_point=anchor, achieved=bound)
+        idx = rng.integers(0, m, size=m)
+        for i in idx:
+            v = (prob.component_gradient(int(i), x) - anchor_grads[i]
+                 + mean_anchor + kappa * (x - center))
+            x = x - eta * v
+            if use_prox:
+                x = g.prox(eta, x)
+
+
 def small_quadratic_sum(m=10, d=4, mu=0.1, seed=51, g=None):
     """f_i(x) = 0.5 (a_i x - b_i)^2 + (mu/2)||x||^2 as a FiniteSumProblem."""
     rng = RandomStream(seed)
@@ -200,3 +238,95 @@ class TestCatalystRun:
                            outer_iters=3000, eps=1e-10,
                            rng=RandomStream(58, stream_id=17))
         assert prob.value(rep.solution) - inst.optimum_value < 1e-7
+
+
+def _run_epochs(run, prob, kappa, center, warm, epochs=1):
+    """The anchor ``epochs`` epochs after ``warm``, from fixed draws: the
+    budget runs out at the next anchor, which BudgetExceeded carries."""
+    sub = Subproblem(prob, kappa, center)
+    before = prob.grad_evals
+    with pytest.raises(BudgetExceeded) as err:
+        run(sub, warm, 0.0, budget=2 * epochs * prob.m,
+            rng=RandomStream(60, stream_id=31))
+    return err.value.best_point, prob.grad_evals - before
+
+
+def _ridge(d, m, seed):
+    return make_ridge(d=d, m=m, cond=1e3, seed=seed).problem
+
+
+def _logistic(d, m, seed):
+    return make_erm_logistic(d=d, m=m, mu=1e-2, seed=seed).problem
+
+
+def _lasso_sum(d, m, seed):
+    return small_quadratic_sum(m=m, d=d, mu=0.05, seed=seed, g=L1Norm(0.05))[0]
+
+
+class TestFoldedSvrgEpoch:
+    """svrg_run folds the epoch-constant terms into one shift table; it must
+    agree with the textbook step to rounding and count the same calls."""
+
+    @pytest.mark.parametrize("make", [_ridge, _logistic, _lasso_sum])
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_matches_textbook_loop(self, make, epochs):
+        d, m = 8, 30
+        rs = RandomStream(61)
+        center, warm = rs.normal(d), rs.normal(d)
+        results = []
+        for run in (svrg_run, _textbook_svrg):
+            prob = make(d, m, 62)
+            kappa = choose_kappa(prob, "svrg") or 0.5
+            results.append(_run_epochs(run, prob, kappa, center, warm, epochs))
+        (x_new, calls_new), (x_ref, calls_ref) = results
+        assert calls_new == calls_ref == (2 * epochs + 1) * m
+        assert not np.array_equal(x_ref, warm)
+        assert np.linalg.norm(x_new - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    def test_prox_path_hits_the_kink(self):
+        # the L1 arm must actually clip coordinates to zero in the epoch
+        prob = _lasso_sum(8, 30, 62)
+        x, _ = _run_epochs(svrg_run, prob, 0.5, np.zeros(8), np.zeros(8))
+        assert np.any(x == 0.0) and np.any(x != 0.0)
+
+    @pytest.mark.parametrize("fail_at", [0, 7, 29])
+    def test_raising_oracle_leaves_exact_count(self, fail_at):
+        base, _, _ = small_quadratic_sum(m=30, d=4)
+        calls = []
+
+        def grad_i(i, x):
+            calls.append(i)
+            # the anchor pass makes m calls, then draw fail_at raises
+            if len(calls) == base.m + fail_at + 1:
+                raise FloatingPointError("draw %d" % fail_at)
+            return base._grad_i(i, x)
+
+        prob = FiniteSumProblem(m=base.m, grad_i=grad_i, value_i=base._value_i,
+                                g=None, mu=base.mu, beta_i=base.beta_i, dim=4)
+        sub = Subproblem(prob, 1.0, np.zeros(4))
+        with pytest.raises(FloatingPointError):
+            svrg_run(sub, np.ones(4), 0.0, budget=10**6,
+                     rng=RandomStream(63, stream_id=31))
+        assert prob.grad_evals == len(calls) == prob.m + fail_at + 1
+
+    def test_oracle_returning_its_input(self):
+        # f_i(x) = ||x||^2 / 2 with grad_i returning x itself: the update
+        # must not write through the returned array before using it
+        def problem():
+            return FiniteSumProblem(
+                m=20, grad_i=lambda i, x: x,
+                value_i=lambda i, x: 0.5 * float(x @ x),
+                g=None, mu=1.0, beta_i=1.0, dim=5)
+
+        center, warm = RandomStream(64).normal(5), RandomStream(65).normal(5)
+        x_new, _ = _run_epochs(svrg_run, problem(), 2.0, center, warm)
+        x_ref, _ = _run_epochs(_textbook_svrg, problem(), 2.0, center, warm)
+        assert np.linalg.norm(x_new - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        assert np.linalg.norm(x_ref - warm) > 1e-3
+
+    def test_does_not_write_into_warm_start_or_center(self):
+        prob = _ridge(8, 30, 66)
+        center, warm = RandomStream(67).normal(8), RandomStream(68).normal(8)
+        c0, w0 = center.copy(), warm.copy()
+        _run_epochs(svrg_run, prob, 0.5, center, warm)
+        assert np.array_equal(center, c0) and np.array_equal(warm, w0)

@@ -101,6 +101,20 @@ class TestStructuralInvariants:
         assert np.linalg.norm(g) < 1e-10
         assert inst.problem.beta_i / inst.problem.mu == pytest.approx(100.0)
 
+    def test_ridge_component_gradient_bits(self):
+        # the textbook formula (<a_i, x> - b_i) a_i + mu x, byte for byte
+        inst = make_ridge(d=50, m=40, cond=1e4, seed=9)
+        A, b, mu = inst.arrays["A"], inst.arrays["b"], inst.problem.mu
+        xs = RandomStream(10).normal((20, 50)) * np.logspace(-3.0, 3.0, 20)[:, None]
+        for x in xs:
+            x0 = x.copy()
+            for i in range(40):
+                ref = (float(A[i] @ x) - b[i]) * A[i] + mu * x
+                got = inst.problem._grad_i(i, x)
+                assert got.tobytes() == ref.tobytes()
+                assert got is not x
+            assert np.array_equal(x, x0)
+
     def test_logistic_optimum_is_stationary(self):
         inst = make_erm_logistic(d=5, m=30, mu=1e-2, seed=8)
         g = inst.problem.full_gradient(inst.ground_truth)
