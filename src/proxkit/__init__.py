@@ -51,7 +51,6 @@ from .moreau import MoreauPoint, prox_map, proximal_point_run
 from .oracles import (
     BoxIndicator,
     CompositeProblem,
-    Identity,
     L1Mean,
     L1Norm,
     L2Norm,

@@ -28,14 +28,14 @@ import hashlib
 import inspect
 import os
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .catalyst import FiniteSumProblem, catalyst_run, choose_kappa, inner_method
 from .errors import ConfigError, EmptyInput, ProxkitError
 from .moreau import proximal_point_run
-from .oracles import CompositeProblem
+from .oracles import CompositeProblem, SmoothPlusProx
 from .pgsg import default_schedule, pgsg_run
 from .problems import GENERATORS
 from .proxlinear import proxlinear_run
@@ -71,16 +71,17 @@ def _init_point(instance, seed: int) -> np.ndarray:
     return RandomStream(seed, stream_id=90).normal(int(dim))
 
 
-def _need(instance, cls, solver):
-    if not isinstance(instance.problem, cls):
+def _need(instance, solver, *classes):
+    if not isinstance(instance.problem, classes):
         raise ProxkitError(
             "solver %r needs a %s instance, got %s"
-            % (solver, cls.__name__, type(instance.problem).__name__)
+            % (solver, " or ".join(c.__name__ for c in classes),
+               type(instance.problem).__name__)
         )
 
 
 def _run_proxlinear(instance, p, seed):
-    _need(instance, CompositeProblem, "proxlinear")
+    _need(instance, "proxlinear", CompositeProblem, SmoothPlusProx)
     return proxlinear_run(
         instance.problem, _init_point(instance, seed),
         beta=p["beta"], outer_iters=p["outer_iters"],
@@ -90,7 +91,11 @@ def _run_proxlinear(instance, p, seed):
 
 def _run_proximal_point(instance, p, seed):
     prob = instance.problem
-    nu = p["nu"] if p["nu"] is not None else 1.0 / (2.0 * max(prob.rho, 1e-12))
+    # 1/(2 L beta): below 1/rho for a composite, whose rho is L beta, and
+    # a well-conditioned FISTA subproblem for a convex SmoothPlusProx
+    nu = p["nu"]
+    if nu is None:
+        nu = 1.0 / (2.0 * max(prob.L * prob.beta, 1e-12))
     return proximal_point_run(
         prob, nu, _init_point(instance, seed),
         max_iters=p["max_iters"], step_tol=p["step_tol"],
@@ -111,7 +116,7 @@ def _run_pgsg(instance, p, seed):
 
 def _make_finite_sum_runner(inner_name, accelerated):
     def run(instance, p, seed):
-        _need(instance, FiniteSumProblem, inner_name)
+        _need(instance, inner_name, FiniteSumProblem)
         prob = instance.problem
         inner = inner_method(inner_name)
         if accelerated:
@@ -218,7 +223,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     sections: dict[str, dict] = {"problem": {}, "solver": {}, "baseline": {}, "run": {}}
     lines: dict[tuple, int] = {}
     seeds = None
-    seeds_line = 0
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -235,7 +239,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 raise ConfigError("seeds must be comma-separated integers", line=ln)
             if not seeds:
                 raise ConfigError("seeds list is empty", line=ln)
-            seeds_line = ln
             continue
         if "." not in key:
             raise ConfigError("unknown key %r" % key, line=ln)
@@ -323,7 +326,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError("run.target_gap must be a positive real",
                           line=lines.get(("run", "target_gap")))
 
-    del seeds_line
     return ExperimentConfig(
         problem=prob, arms=arms, seeds=seeds,
         target_gap=target_gap, record_every=int(record_every), source_text=text,

@@ -46,6 +46,7 @@ class FiniteSumProblem:
         self.dim = dim
         self._all_grads = all_grads  # optional vectorized (m, d) gradient table
         self.grad_evals = 0
+        self.value_evals = 0  # component values, m per smooth_value pass
 
     def component_gradient(self, i, x):
         self.grad_evals += 1
@@ -69,6 +70,7 @@ class FiniteSumProblem:
         return np.stack([self._grad_i(i, x) for i in range(self.m)])
 
     def smooth_value(self, x):
+        self.value_evals += self.m
         if self._full_smooth_value is not None:
             return float(self._full_smooth_value(x))
         return float(np.mean([self._value_i(i, x) for i in range(self.m)]))
@@ -297,27 +299,28 @@ def catalyst_run(
     eps: float = 1e-10,
     rng: Optional[RandomStream] = None,
     inner_budget: int = 10_000_000,
-    warm_start_at: str = "y",
 ) -> SolverReport:
     """Accelerated outer loop; counts total component-gradient evaluations.
 
     Subproblem target accuracies follow the geometric schedule
     eps_t = C (1 - 0.9 sqrt(q))^t with C an initial optimality-gap
     estimate from the strong convexity bound at x0.  Subproblems warm
-    start at the prox center y by default (it is the point the subproblem
-    is anchored at, and measurably closer to its optimum than x_prev);
-    ``warm_start_at="x_prev"`` switches to the previous outer solution.
+    start at the prox center y (it is the point the subproblem is anchored
+    at, and measurably closer to its optimum than x_prev).
 
     kappa = 0 degenerates to a single call of the inner method on the
     original problem (q = 1 leaves no extrapolation to do).
 
     Evaluations are counted from the start of this run, so runs on a
     shared instance report the same history; ``problem.grad_evals`` keeps
-    the instance's running total.
+    the instance's running total.  ``oracle_calls`` reports component
+    gradients as ``grad_i`` and component values, m per pass of
+    ``problem.value`` (the objective recorded each outer step), as
+    ``value_i``; the evaluation history counts gradients only.
     """
     if rng is None:
         rng = RandomStream(0, stream_id=17)
-    evals0 = problem.grad_evals
+    evals0, values0 = problem.grad_evals, problem.value_evals
     x = np.asarray(x0, dtype=float).copy()
     report = SolverReport(seed=rng.seed)
 
@@ -328,7 +331,8 @@ def catalyst_run(
         for t, (evals, val) in enumerate(trace):
             report.record(t, None, val, np.nan, evals - evals0)
         report.solution = sol
-        report.oracle_calls = {"grad_i": problem.grad_evals - evals0}
+        report.oracle_calls = {"grad_i": problem.grad_evals - evals0,
+                               "value_i": problem.value_evals - values0}
         report.validate()
         return report
 
@@ -351,16 +355,14 @@ def catalyst_run(
     for t in range(1, outer_iters + 1):
         target = gap_estimate * decay**t
         sub = Subproblem(problem, kappa, y)
-        warm = x_prev if warm_start_at == "x_prev" else y
-        center = y
-        x_new, sub_bound, _, sub_grad = inner.run(sub, warm, target, inner_budget, rng=rng)
+        x_new, _, _, sub_grad = inner.run(sub, y, target, inner_budget, rng=rng)
         alpha_new, beta_t = momentum_update(alpha, q)
         y = x_new + beta_t * (x_new - x_prev)
         x_prev = x_new
         alpha = alpha_new
 
         # outer gradient from the subproblem gradient, no extra evals
-        grad = sub_grad - kappa * (x_new - center)
+        grad = sub_grad - kappa * (x_new - sub.center)
         outer_bound = _certified_bound(Subproblem(problem, 0.0, x_new), x_new, grad)
         report.record(t, x_new, problem.value(x_new),
                       float(np.linalg.norm(grad)), problem.grad_evals - evals0)
@@ -368,6 +370,7 @@ def catalyst_run(
             break
 
     report.solution = x_prev
-    report.oracle_calls = {"grad_i": problem.grad_evals - evals0}
+    report.oracle_calls = {"grad_i": problem.grad_evals - evals0,
+                           "value_i": problem.value_evals - values0}
     report.validate()
     return report

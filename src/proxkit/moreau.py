@@ -4,10 +4,9 @@ generic proximal point iteration.
 ``prox_map`` dispatches on the structure of the function bundle:
 
 * a closed-form ``prox`` method is used verbatim (certificate 0);
-* smooth-plus-prox bundles (and additive composites, where the outer
-  function is the identity) are solved by an accelerated proximal
-  gradient iteration, linearly convergent because every prox subproblem
-  is strongly convex;
+* a ``SmoothPlusProx`` bundle s + g, the additive composite, is solved
+  by an accelerated proximal gradient iteration on its own gradient,
+  linearly convergent because every prox subproblem is strongly convex;
 * general composites g + h(c(x)) are solved by running the prox-linear
   method on the quadratically shifted problem.
 
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, NonconvexSubproblem
-from .oracles import CompositeProblem, ShiftedQuadraticProx, SmoothPlusProx, Zero
+from .oracles import CompositeProblem, ShiftedQuadraticProx, SmoothPlusProx
 from .report import SolverReport
 
 
@@ -64,22 +63,6 @@ def _fista_prox(smooth_grad, lips, mu, g, z0, inner_tol, budget):
     )
 
 
-def _smooth_plus_prox_view(f):
-    """Normalize additive composites to a SmoothPlusProx bundle."""
-    if isinstance(f, SmoothPlusProx):
-        return f
-    if isinstance(f, CompositeProblem) and getattr(f.h, "is_identity", False):
-        one = np.ones(f.c.dim_out)
-        return SmoothPlusProx(
-            smooth_value=lambda x: float(np.sum(f.c_eval(x))),
-            smooth_grad=lambda x: f.c_vjp(x, one),
-            lips=f.beta,
-            g=f.g,
-            rho=0.0,
-        )
-    return None
-
-
 def prox_map(f, nu: float, z, inner_tol: float = 1e-10, budget: int = 2000) -> MoreauPoint:
     """Compute prox_{nu f}(z) together with the envelope value/gradient.
 
@@ -99,20 +82,18 @@ def prox_map(f, nu: float, z, inner_tol: float = 1e-10, budget: int = 2000) -> M
     if hasattr(f, "prox") and not isinstance(f, CompositeProblem):
         p = np.asarray(f.prox(nu, z), dtype=float)
         cert = 0.0
+    elif isinstance(f, SmoothPlusProx):
+        lips = f.beta + 1.0 / nu
+        mu = 1.0 / nu - f.rho
+        grad = lambda x: f.grad(x) + (x - z) / nu
+        p, cert = _fista_prox(grad, lips, mu, f.g, z, inner_tol, budget * 100)
+    elif isinstance(f, CompositeProblem):
+        p, cert = _prox_composite(f, nu, z, inner_tol, budget)
     else:
-        view = _smooth_plus_prox_view(f)
-        if view is not None:
-            lips = view.lips + 1.0 / nu
-            mu = 1.0 / nu - view.rho
-            grad = lambda x: view.grad(x) + (x - z) / nu
-            p, cert = _fista_prox(grad, lips, mu, view.g, z, inner_tol, budget * 100)
-        elif isinstance(f, CompositeProblem):
-            p, cert = _prox_composite(f, nu, z, inner_tol, budget)
-        else:
-            raise TypeError(
-                "cannot compute prox of %r: need a closed-form prox, a "
-                "smooth-plus-prox bundle, or a composite problem" % type(f)
-            )
+        raise TypeError(
+            "cannot compute prox of %r: need a closed-form prox, a "
+            "smooth-plus-prox bundle, or a composite problem" % type(f)
+        )
 
     fval = f.value(p) if callable(getattr(f, "value", None)) else f(p)
     env_val = float(fval) + float((p - z) @ (p - z)) / (2.0 * nu)

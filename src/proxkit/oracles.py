@@ -10,7 +10,7 @@ solver only ever sees a vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -152,21 +152,6 @@ class L2Norm:
         if nu_ <= 1.0:
             return u.copy()
         return u / nu_
-
-
-class Identity:
-    """h(t) = t for scalar-valued inner maps (additive composite)."""
-
-    rho = 0.0
-    lip = 1.0
-    is_identity = True
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        return float(r.reshape(-1)[0]) if r.size == 1 else float(np.sum(r))
-
-    def subgrad(self, r):
-        return np.ones_like(np.asarray(r, dtype=float))
 
 
 class BoxIndicator:
@@ -326,18 +311,24 @@ class CompositeProblem:
 
 
 class SmoothPlusProx:
-    """F(x) = s(x) + g(x) with s smooth (lips-Lipschitz gradient,
-    rho-weakly convex) and g prox-friendly."""
+    """F(x) = s(x) + g(x) with s smooth (beta-Lipschitz gradient,
+    rho-weakly convex) and g prox-friendly: the additive composite, i.e.
+    g + h(c(x)) with h the identity, which is 1-Lipschitz (``L = 1``)."""
 
-    def __init__(self, smooth_value, smooth_grad, lips: float, g, rho: float = 0.0):
+    L = 1.0
+
+    def __init__(self, smooth_value, smooth_grad, beta: float, g, rho: float = 0.0,
+                 dim: int | None = None):
         self.smooth_value = smooth_value
         self.smooth_grad = smooth_grad
-        self.lips = float(lips)
+        self.beta = float(beta)
         self.g = g
         self.rho = float(rho)
-        self.counters = {"grad": 0, "g_prox": 0}
+        self.dim = dim
+        self.counters = {"value": 0, "grad": 0, "g_prox": 0}
 
     def value(self, x) -> float:
+        self.counters["value"] += 1
         return float(self.smooth_value(x)) + self.g.value(x)
 
     def grad(self, x):

@@ -20,11 +20,11 @@ from .core import operator_norm
 from .oracles import (
     BoxIndicator,
     CompositeProblem,
-    Identity,
     L1Mean,
     L1Norm,
     L2Norm,
     SmoothMap,
+    SmoothPlusProx,
     Zero,
 )
 from .pgsg import StochasticProblem
@@ -274,8 +274,9 @@ def make_box_nls(d: int, m: int, seed: int = 0) -> SyntheticInstance:
 
 
 def make_lasso(d: int, m: int, lam: float = 0.1, seed: int = 0) -> SyntheticInstance:
-    """Additive composite LASSO: (1/2)||A x - b||^2 + lam ||x||_1, exposed
-    as a composite with identity outer function and scalar inner map."""
+    """LASSO (1/2)||A x - b||^2 + lam ||x||_1 as a ``SmoothPlusProx``: the
+    additive composite, convex, so rho = 0, with gradient A^T (A x - b)
+    and smoothness beta = ||A||^2."""
     rng = RandomStream(seed, stream_id=5)
     A = rng.normal((m, d))
     x_sparse = np.zeros(d)
@@ -283,21 +284,13 @@ def make_lasso(d: int, m: int, lam: float = 0.1, seed: int = 0) -> SyntheticInst
     x_sparse[support] = rng.normal(support.size)
     b = A @ x_sparse + 0.01 * rng.normal(m)
     sigma = _spectral_norm(A)
-    beta = sigma * sigma
 
-    def c_eval(x):
+    def smooth_value(x):
         r = A @ x - b
-        return np.array([0.5 * float(r @ r)])
+        return 0.5 * float(r @ r)
 
-    c = SmoothMap(
-        eval=c_eval,
-        jvp=lambda x, v: np.array([float((A @ x - b) @ (A @ v))]),
-        vjp=lambda x, u: u[0] * (A.T @ (A @ x - b)),
-        beta=beta,
-        dim_in=d,
-        dim_out=1,
-    )
-    problem = CompositeProblem(L1Norm(lam), Identity(), c)
+    problem = SmoothPlusProx(smooth_value, lambda x: A.T @ (A @ x - b),
+                             beta=sigma * sigma, g=L1Norm(lam), dim=d)
     return SyntheticInstance(
         name="lasso",
         problem=problem,

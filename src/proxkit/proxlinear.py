@@ -6,8 +6,9 @@ Each step minimizes the local convex model
 
 to a certified primal-dual gap.  The subproblem is solved by an
 accelerated Chambolle-Pock primal-dual iteration that only touches the
-Jacobian through jvp/vjp products; when h is the identity (additive
-composite) the step collapses to the closed-form proximal-gradient step.
+Jacobian through jvp/vjp products.  For an additive composite s + g (a
+``SmoothPlusProx``, i.e. h the identity) the model is s linearized plus
+g, and the step collapses to the closed-form proximal-gradient step.
 
 The scaled step beta * (x_{t+1} - x_t) is reported as the stationarity
 surrogate; its norm is comparable (within fixed constant factors) to the
@@ -24,7 +25,7 @@ import numpy as np
 
 from .core import operator_norm
 from .errors import BudgetExceeded
-from .oracles import CompositeProblem
+from .oracles import CompositeProblem, SmoothPlusProx
 from .report import SolverReport
 
 # Gap asked of the first subproblem under the adaptive schedule.  The
@@ -215,22 +216,23 @@ def _solve_model_subproblem(
 
 
 def proxlinear_step(
-    problem: CompositeProblem,
+    problem: CompositeProblem | SmoothPlusProx,
     x_t,
     beta: float,
     inner_tol: float,
     budget: int = 200_000,
     warm_dual: np.ndarray | None = None,
 ):
-    """One prox-linear step; returns (x_next, SurrogateGradient, dual)."""
+    """One prox-linear step; returns (x_next, SurrogateGradient, dual).
+
+    On a ``SmoothPlusProx`` the model is solved exactly by one
+    proximal-gradient step, so the gap is 0 and there is no dual."""
     x_t = np.asarray(x_t, dtype=float)
-    if getattr(problem.h, "is_identity", False):
-        # additive composite: exact proximal-gradient step
-        u = np.ones(problem.c.dim_out)
-        grad = problem.c_vjp(x_t, u)
+    if isinstance(problem, SmoothPlusProx):
+        grad = problem.grad(x_t)
         x_next = problem.g_prox(1.0 / beta, x_t - grad / beta)
         gap = 0.0
-        dual = u
+        dual = None
     else:
         x_next, dual, gap = _solve_model_subproblem(
             problem, x_t, beta, gap_tol=inner_tol, max_iters=budget, warm_dual=warm_dual
@@ -243,7 +245,7 @@ def proxlinear_step(
 
 
 def proxlinear_run(
-    problem: CompositeProblem,
+    problem: CompositeProblem | SmoothPlusProx,
     x0,
     beta: float | None = None,
     outer_iters: int = 200,

@@ -222,6 +222,19 @@ class TestRunExperiment:
         content = open(os.path.join(out, "MANIFEST")).read()
         assert "failed solver_seed0.csv" in content
 
+    def test_proxlinear_on_finite_sum_recorded_in_manifest(self, tmp_path):
+        # ridge is a finite sum, neither kind of composite prox-linear takes
+        cfg = parse_config_text("problem.name = ridge\nproblem.d = 4\n"
+                                "problem.m = 10\nsolver.name = proxlinear\n"
+                                "seeds = 0\n")
+        out = str(tmp_path / "ridge")
+        manifest = run_experiment(cfg, out)
+        assert len(manifest["failures"]) == 1
+        content = open(os.path.join(out, "MANIFEST")).read()
+        assert ("failed solver_seed0.csv: solver 'proxlinear' needs a "
+                "CompositeProblem or SmoothPlusProx instance, got "
+                "FiniteSumProblem\n") in content
+
     def test_ratio_row_for_two_arms(self, tmp_path):
         cfg = parse_config_text("""\
 problem.name = ridge

@@ -210,6 +210,32 @@ class TestCatalystRun:
         assert prob.grad_evals == 2 * reps[0].oracle_calls["grad_i"]
         assert reps[0].evals_history[-1] <= reps[0].oracle_calls["grad_i"]
 
+    @pytest.mark.parametrize("arm", ["gd", "svrg"])
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_value_passes_reported_in_components(self, arm, accelerated):
+        # every pass of the full smooth value is m component values, from
+        # the run's start; the CSV evaluation history counts gradients only
+        base = make_ridge(d=10, m=40, cond=1000.0, seed=5).problem
+        passes = []
+
+        def full_value(x):
+            passes.append(1)
+            return base._full_smooth_value(x)
+
+        prob = FiniteSumProblem(
+            m=base.m, grad_i=base._grad_i, value_i=base._value_i, g=None,
+            mu=base.mu, beta_i=base.beta_i, full_grad=base._full_grad,
+            full_smooth_value=full_value, dim=10, all_grads=base._all_grads)
+        prob.value(np.zeros(10))  # a pass before the run is not the run's
+        del passes[:]
+        kappa = choose_kappa(prob, arm) if accelerated else 0.0
+        rep = catalyst_run(prob, inner_method(arm), kappa, np.zeros(10),
+                           outer_iters=2000, eps=1e-9,
+                           rng=RandomStream(59, stream_id=17))
+        assert len(passes) >= len(rep.evals_history)
+        assert rep.oracle_calls["value_i"] == prob.m * len(passes)
+        assert rep.evals_history[-1] <= rep.oracle_calls["grad_i"]
+
     def test_outer_loop_reaches_optimum(self):
         inst = make_ridge(d=10, m=40, cond=1000.0, seed=2)
         prob = inst.problem

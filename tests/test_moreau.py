@@ -5,7 +5,6 @@ import pytest
 
 from proxkit import (
     CompositeProblem,
-    Identity,
     L1Norm,
     NonconvexSubproblem,
     RandomStream,
@@ -58,7 +57,7 @@ class TestSmoothPlusProx:
         return SmoothPlusProx(
             smooth_value=lambda x: 0.5 * float((A @ x - b) @ (A @ x - b)),
             smooth_grad=lambda x: A.T @ (A @ x - b),
-            lips=float(np.linalg.svd(A, compute_uv=False)[0] ** 2),
+            beta=float(np.linalg.svd(A, compute_uv=False)[0] ** 2),
             g=L1Norm(0.3),
         ), A, b
 
@@ -111,18 +110,18 @@ class TestCompositeProx:
         assert abs(mp.prox_point[0] - ref) < 1e-5
 
     def test_identity_composite_dispatch(self):
-        # additive composite goes down the FISTA path and matches the
-        # closed form for a pure quadratic c
-        c = SmoothMap(
-            eval=lambda x: np.array([0.5 * float(x @ x)]),
-            jvp=lambda x, v: np.array([float(x @ v)]),
-            vjp=lambda x, u: u[0] * x,
-            beta=1.0, dim_in=3, dim_out=1,
+        # the additive composite (h the identity) is a SmoothPlusProx: it
+        # goes down the FISTA path, on its own gradient, and matches the
+        # closed form for a pure quadratic smooth part
+        f = SmoothPlusProx(
+            smooth_value=lambda x: 0.5 * float(x @ x),
+            smooth_grad=lambda x: x,
+            beta=1.0, g=Zero(), dim=3,
         )
-        f = CompositeProblem(Zero(), Identity(), c)
         z = np.array([1.0, -2.0, 0.5])
         mp = prox_map(f, 0.5, z, inner_tol=1e-12)
         assert np.allclose(mp.prox_point, z / 1.5, atol=1e-9)
+        assert f.counters["grad"] > 0
 
 
 class TestProximalPoint:

@@ -7,7 +7,6 @@ import pytest
 from proxkit import (
     BoxIndicator,
     CompositeProblem,
-    Identity,
     L1Mean,
     L1Norm,
     L2Norm,
@@ -154,6 +153,3 @@ class TestCompositeProblem:
             x, y = rng.normal(3), rng.normal(3)
             v = prob.subgrad(x)
             assert prob.value(y) >= prob.value(x) + float(v @ (y - x)) - 1e-10
-
-    def test_identity_flag(self):
-        assert getattr(Identity(), "is_identity") is True

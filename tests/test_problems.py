@@ -11,6 +11,7 @@ from proxkit import (
     FiniteSumProblem,
     GENERATORS,
     RandomStream,
+    SmoothPlusProx,
     check_adjoint_consistency,
     check_weak_convexity,
     load_instance,
@@ -23,6 +24,7 @@ from proxkit import (
     make_z2_sync,
     save_instance,
 )
+from proxkit.core import finite_difference_gradient
 
 SMALL = {
     "phase_retrieval": dict(d=5, m=30, outlier_frac=0.1),
@@ -54,13 +56,22 @@ class TestGeneratorPurity:
 
 class TestStructuralInvariants:
     @pytest.mark.parametrize(
-        "name", ["phase_retrieval", "robust_pca", "z2_sync", "box_nls", "lasso"]
+        "name", ["phase_retrieval", "robust_pca", "z2_sync", "box_nls"]
     )
     def test_adjoint_consistency(self, name):
         inst = GENERATORS[name](seed=3, **SMALL[name])
         assert isinstance(inst.problem, CompositeProblem)
         worst = check_adjoint_consistency(inst.problem.c, RandomStream(100))
         assert worst < 1e-10
+
+    def test_lasso_gradient_matches_finite_differences(self):
+        inst = make_lasso(seed=3, **SMALL["lasso"])
+        prob = inst.problem
+        assert isinstance(prob, SmoothPlusProx) and prob.rho == 0.0
+        for x in RandomStream(100).normal((5, prob.dim)):
+            fd = finite_difference_gradient(prob.smooth_value, x)
+            g = prob.grad(x)
+            assert np.linalg.norm(g - fd) <= 1e-7 * (1.0 + np.linalg.norm(fd))
 
     @pytest.mark.parametrize(
         "name", ["phase_retrieval", "z2_sync", "robust_pca", "box_nls"]

@@ -283,6 +283,15 @@ class TestProxlinearRun:
         rep = proxlinear_run(inst.problem, np.zeros(10), outer_iters=20)
         assert all(b >= a for a, b in zip(rep.evals_history, rep.evals_history[1:]))
 
+    def test_lasso_count_rule(self):
+        # each step is one gradient and one prox, and each recorded
+        # objective one value: step t is recorded after 3t + 2 calls
+        inst = make_lasso(d=10, m=25, lam=0.1, seed=3)
+        rep = proxlinear_run(inst.problem, np.zeros(10), outer_iters=20,
+                             stat_tol=0.0)
+        assert rep.evals_history == [3 * t + 2 for t in range(20)]
+        assert rep.oracle_calls == {"value": 20, "grad": 20, "g_prox": 20}
+
 
 def _criterion_4_start(seed=0):
     inst = make_phase_retrieval(d=20, m=160, outlier_frac=0.0, seed=seed)
