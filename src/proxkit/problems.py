@@ -42,10 +42,9 @@ class SyntheticInstance:
     stochastic: Optional[StochasticProblem] = None
 
 
-def _spectral_norm(A: np.ndarray, safety: float = 1.0) -> float:
-    """Power-iteration estimate of sigma_max(A) with a safety factor."""
-    s = operator_norm(lambda v: A @ v, lambda u: A.T @ u, A.shape[1], iters=50)
-    return safety * s
+def _spectral_norm(A: np.ndarray) -> float:
+    """Power-iteration estimate of sigma_max(A), from below."""
+    return operator_norm(lambda v: A @ v, lambda u: A.T @ u, A.shape[1], iters=50)
 
 
 def make_phase_retrieval(d: int, m: int, outlier_frac: float = 0.0,
@@ -276,21 +275,23 @@ def make_box_nls(d: int, m: int, seed: int = 0) -> SyntheticInstance:
 def make_lasso(d: int, m: int, lam: float = 0.1, seed: int = 0) -> SyntheticInstance:
     """LASSO (1/2)||A x - b||^2 + lam ||x||_1 as a ``SmoothPlusProx``: the
     additive composite, convex, so rho = 0, with gradient A^T (A x - b)
-    and smoothness beta = ||A||^2."""
+    and smoothness beta = ||A||_2^2, computed exactly: a power-iteration
+    estimate falls short, and a step 1/beta above 1/||A||_2^2 breaks the
+    majorization the prox-linear and FISTA steps rely on."""
     rng = RandomStream(seed, stream_id=5)
     A = rng.normal((m, d))
     x_sparse = np.zeros(d)
     support = rng.choice(d, size=max(d // 10, 1), replace=False)
     x_sparse[support] = rng.normal(support.size)
     b = A @ x_sparse + 0.01 * rng.normal(m)
-    sigma = _spectral_norm(A)
 
     def smooth_value(x):
         r = A @ x - b
         return 0.5 * float(r @ r)
 
     problem = SmoothPlusProx(smooth_value, lambda x: A.T @ (A @ x - b),
-                             beta=sigma * sigma, g=L1Norm(lam), dim=d)
+                             beta=float(np.linalg.norm(A, 2)) ** 2,
+                             g=L1Norm(lam), dim=d)
     return SyntheticInstance(
         name="lasso",
         problem=problem,

@@ -100,6 +100,13 @@ class TestStructuralInvariants:
         assert np.array_equal(K(v), c.jvp(x, v))
         assert np.array_equal(Kt(np.ones(30)), c.vjp(x, np.ones(30)))
 
+    def test_lasso_beta_bounds_the_gradient_lipschitz_constant(self):
+        # a step 1/beta must not exceed 1/||A||_2^2
+        for seed in range(32):
+            inst = make_lasso(d=50, m=100, seed=seed)
+            lip = float(np.linalg.norm(inst.arrays["A"], 2)) ** 2
+            assert inst.problem.beta >= lip, seed
+
     def test_box_nls_has_interior_root(self):
         inst = make_box_nls(d=4, m=6, seed=6)
         x = inst.ground_truth
