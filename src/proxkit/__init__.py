@@ -25,7 +25,6 @@ from .catalyst import (
     acceleration_ratio,
     catalyst_run,
     choose_kappa,
-    gd_run,
     inner_method,
     momentum_update,
     prox_gd_run,

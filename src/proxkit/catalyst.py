@@ -24,13 +24,14 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .oracles import Zero
-from .report import SolverReport
+from .report import SolverReport, calls_since
 from .rng import RandomStream
 
 
 class FiniteSumProblem:
     """f(x) = (1/m) sum_i f_i(x) + g(x), mu-strongly convex smooth part,
-    each f_i with beta_i-Lipschitz gradient."""
+    each f_i with beta_i-Lipschitz gradient.  ``counters`` holds component
+    gradients (``grad_i``) and values (``value_i``, m per value pass)."""
 
     def __init__(self, m, grad_i, value_i, g, mu, beta_i,
                  full_grad=None, full_smooth_value=None, dim=None,
@@ -45,15 +46,19 @@ class FiniteSumProblem:
         self._full_smooth_value = full_smooth_value
         self.dim = dim
         self._all_grads = all_grads  # optional vectorized (m, d) gradient table
-        self.grad_evals = 0
-        self.value_evals = 0  # component values, m per smooth_value pass
+        self.counters = {"grad_i": 0, "value_i": 0}
+
+    @property
+    def grad_evals(self) -> int:
+        """Component gradients over the instance's life (read-only)."""
+        return self.counters["grad_i"]
 
     def component_gradient(self, i, x):
-        self.grad_evals += 1
+        self.counters["grad_i"] += 1
         return self._grad_i(i, x)
 
     def full_gradient(self, x):
-        self.grad_evals += self.m
+        self.counters["grad_i"] += self.m
         if self._full_grad is not None:
             return self._full_grad(x)
         g = np.zeros_like(np.asarray(x, dtype=float))
@@ -64,13 +69,13 @@ class FiniteSumProblem:
     def component_gradients_table(self, x):
         """All component gradients at x as an (m, d) array; costs one
         full pass (m evaluations)."""
-        self.grad_evals += self.m
+        self.counters["grad_i"] += self.m
         if self._all_grads is not None:
             return np.asarray(self._all_grads(x), dtype=float)
         return np.stack([self._grad_i(i, x) for i in range(self.m)])
 
     def smooth_value(self, x):
-        self.value_evals += self.m
+        self.counters["value_i"] += self.m
         if self._full_smooth_value is not None:
             return float(self._full_smooth_value(x))
         return float(np.mean([self._value_i(i, x) for i in range(self.m)]))
@@ -124,11 +129,11 @@ def momentum_update(alpha_prev: float, q: float) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # Inner methods.  Each solves a Subproblem in function value to a
-# certified accuracy and returns (x, bound, calls, grad): the solution,
-# its certified gap, the component gradients spent, and the subproblem
-# gradient at x (so callers can derive the outer gradient for free).
-# The certificate uses the strong convexity bound
-# value(x) - value* <= ||gradient mapping||^2 / (2 mu).
+# certified accuracy and returns (x, bound, grad): the solution, its
+# certified gap, and the subproblem gradient at x (so callers can derive
+# the outer gradient for free).  The component gradients spent are counted
+# in the problem's ``counters``.  The certificate uses the strong
+# convexity bound value(x) - value* <= ||gradient mapping||^2 / (2 mu).
 # ---------------------------------------------------------------------------
 
 def _certified_bound(sub: Subproblem, x, grad):
@@ -142,44 +147,26 @@ def _certified_bound(sub: Subproblem, x, grad):
     return 2.0 * float(gm @ gm) / (2.0 * sub.mu)
 
 
-def gd_run(sub: Subproblem, warm_start, target_accuracy, budget, rng=None, trace=None):
-    """Full-gradient descent with step 1/beta on the subproblem."""
-    x = np.asarray(warm_start, dtype=float).copy()
-    step = 1.0 / sub.beta
-    calls0 = sub.problem.grad_evals
-    bound = np.inf
-    while True:
-        grad = sub.full_gradient(x)
-        bound = _certified_bound(sub, x, grad)
-        if trace is not None:
-            trace.append((sub.problem.grad_evals, sub.problem.value(x)))
-        if bound <= target_accuracy:
-            break
-        if sub.problem.grad_evals - calls0 >= budget:
-            raise BudgetExceeded("gd inner budget exhausted",
-                                 best_point=x, achieved=bound)
-        x = x - step * grad
-    return x, bound, sub.problem.grad_evals - calls0, grad
-
-
 def prox_gd_run(sub: Subproblem, warm_start, target_accuracy, budget, rng=None, trace=None):
-    """Proximal gradient with step 1/beta on the subproblem."""
+    """Proximal gradient with step 1/beta on the subproblem; with g = 0
+    (``Zero.prox`` copies its argument) it is gradient descent."""
     x = np.asarray(warm_start, dtype=float).copy()
     g = sub.problem.g
     step = 1.0 / sub.beta
-    calls0 = sub.problem.grad_evals
+    counters = sub.problem.counters
+    calls0 = counters["grad_i"]
     while True:
         grad = sub.full_gradient(x)
         bound = _certified_bound(sub, x, grad)
         if trace is not None:
-            trace.append((sub.problem.grad_evals, sub.problem.value(x)))
+            trace.append((counters["grad_i"], sub.problem.value(x)))
         if bound <= target_accuracy:
             break
-        if sub.problem.grad_evals - calls0 >= budget:
+        if counters["grad_i"] - calls0 >= budget:
             raise BudgetExceeded("prox_gd inner budget exhausted",
                                  best_point=x, achieved=bound)
         x = g.prox(step, x - step * grad)
-    return x, bound, sub.problem.grad_evals - calls0, grad
+    return x, bound, grad
 
 
 def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
@@ -207,7 +194,8 @@ def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
     shrink = 1.0 - eta * kappa
     use_prox = not isinstance(g, Zero)
     grad_i = prob._grad_i
-    calls0 = prob.grad_evals
+    counters = prob.counters
+    calls0 = counters["grad_i"]
     while True:
         anchor = x.copy()
         anchor_grads = prob.component_gradients_table(anchor)  # m evals
@@ -215,10 +203,10 @@ def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
         full = mean_anchor + kappa * (anchor - center)
         bound = _certified_bound(sub, anchor, full)
         if trace is not None:
-            trace.append((prob.grad_evals, prob.value(anchor)))
+            trace.append((counters["grad_i"], prob.value(anchor)))
         if bound <= target_accuracy:
-            return anchor, bound, prob.grad_evals - calls0, full
-        if prob.grad_evals - calls0 >= budget:
+            return anchor, bound, full
+        if counters["grad_i"] - calls0 >= budget:
             raise BudgetExceeded("svrg inner budget exhausted",
                                  best_point=anchor, achieved=bound)
         rows = list(eta * (anchor_grads + (kappa * center - mean_anchor)))
@@ -233,7 +221,7 @@ def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
                 if use_prox:
                     x[...] = g.prox(eta, x)
         finally:
-            prob.grad_evals += k + 1  # one fresh gradient per draw begun
+            counters["grad_i"] += k + 1  # one fresh gradient per draw begun
 
 
 @dataclass
@@ -256,7 +244,7 @@ def _tau_svrg(problem: FiniteSumProblem, kappa: float) -> float:
 
 def inner_method(name: str) -> InnerMethod:
     table = {
-        "gd": InnerMethod("gd", gd_run, _tau_gd),
+        "gd": InnerMethod("gd", prox_gd_run, _tau_gd),
         "prox_gd": InnerMethod("prox_gd", prox_gd_run, _tau_gd),
         "svrg": InnerMethod("svrg", svrg_run, _tau_svrg),
     }
@@ -312,27 +300,25 @@ def catalyst_run(
     original problem (q = 1 leaves no extrapolation to do).
 
     Evaluations are counted from the start of this run, so runs on a
-    shared instance report the same history; ``problem.grad_evals`` keeps
-    the instance's running total.  ``oracle_calls`` reports component
-    gradients as ``grad_i`` and component values, m per pass of
+    shared instance report the same history.  ``oracle_calls`` reports
+    component gradients as ``grad_i`` and component values, m per pass of
     ``problem.value`` (the objective recorded each outer step), as
     ``value_i``; the evaluation history counts gradients only.
     """
     if rng is None:
         rng = RandomStream(0, stream_id=17)
-    evals0, values0 = problem.grad_evals, problem.value_evals
+    start = dict(problem.counters)
     x = np.asarray(x0, dtype=float).copy()
     report = SolverReport(seed=rng.seed)
 
     if kappa == 0.0:
         trace = []
         sub = Subproblem(problem, 0.0, x.copy())
-        sol, bound, calls, _ = inner.run(sub, x, eps, inner_budget, rng=rng, trace=trace)
+        sol, _, _ = inner.run(sub, x, eps, inner_budget, rng=rng, trace=trace)
         for t, (evals, val) in enumerate(trace):
-            report.record(t, None, val, np.nan, evals - evals0)
+            report.record(t, None, val, np.nan, evals - start["grad_i"])
         report.solution = sol
-        report.oracle_calls = {"grad_i": problem.grad_evals - evals0,
-                               "value_i": problem.value_evals - values0}
+        report.oracle_calls = calls_since(problem.counters, start)
         report.validate()
         return report
 
@@ -355,7 +341,7 @@ def catalyst_run(
     for t in range(1, outer_iters + 1):
         target = gap_estimate * decay**t
         sub = Subproblem(problem, kappa, y)
-        x_new, _, _, sub_grad = inner.run(sub, y, target, inner_budget, rng=rng)
+        x_new, _, sub_grad = inner.run(sub, y, target, inner_budget, rng=rng)
         alpha_new, beta_t = momentum_update(alpha, q)
         y = x_new + beta_t * (x_new - x_prev)
         x_prev = x_new
@@ -365,12 +351,12 @@ def catalyst_run(
         grad = sub_grad - kappa * (x_new - sub.center)
         outer_bound = _certified_bound(Subproblem(problem, 0.0, x_new), x_new, grad)
         report.record(t, x_new, problem.value(x_new),
-                      float(np.linalg.norm(grad)), problem.grad_evals - evals0)
+                      float(np.linalg.norm(grad)),
+                      calls_since(problem.counters, start)["grad_i"])
         if outer_bound <= eps:
             break
 
     report.solution = x_prev
-    report.oracle_calls = {"grad_i": problem.grad_evals - evals0,
-                           "value_i": problem.value_evals - values0}
+    report.oracle_calls = calls_since(problem.counters, start)
     report.validate()
     return report

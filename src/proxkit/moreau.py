@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, NonconvexSubproblem
 from .oracles import CompositeProblem, ShiftedQuadraticProx, SmoothPlusProx
-from .report import SolverReport
+from .report import SolverReport, calls_since
 
 
 @dataclass
@@ -33,7 +33,6 @@ class MoreauPoint:
     prox_point: np.ndarray
     envelope_value: float
     envelope_gradient: np.ndarray
-    nu: float
     certificate: float
 
 
@@ -102,7 +101,6 @@ def prox_map(f, nu: float, z, inner_tol: float = 1e-10, budget: int = 2000) -> M
         prox_point=p,
         envelope_value=env_val,
         envelope_gradient=env_grad,
-        nu=float(nu),
         certificate=float(cert),
     )
 
@@ -147,26 +145,27 @@ def proximal_point_run(
     step_tol: float = 0.0,
     inner_tol: float = 1e-10,
     seed: int = 0,
-    iterate_stride: int = 1,
 ) -> SolverReport:
     """Fixed-point iteration on the proximal map with step-size stopping.
 
     Stops when ||(x_t - x_{t+1}) / nu|| < step_tol, which for proximal
     point iterates coincides with the Moreau envelope gradient norm at x_t.
+    Calls are counted on ``f.counters`` from the start of this run, or one
+    per iteration for a bundle without counters (a closed-form prox).
     """
     x = np.asarray(x0, dtype=float).copy()
     report = SolverReport(seed=seed)
     counters = getattr(f, "counters", None)
+    start = dict(counters) if counters else None
     for t in range(max_iters):
         mp = prox_map(f, nu, x, inner_tol=inner_tol)
         stat = float(np.linalg.norm(mp.envelope_gradient))
-        evals = sum(counters.values()) if counters else t + 1
-        report.record(t, x, f.value(x), stat, evals,
-                      keep_iterate=(t % iterate_stride == 0))
+        evals = sum(calls_since(counters, start).values()) if counters else t + 1
+        report.record(t, x, f.value(x), stat, evals, keep_iterate=True)
         x = mp.prox_point
         if stat < step_tol:
             break
     report.solution = x
-    report.oracle_calls = dict(counters) if counters else {}
+    report.oracle_calls = calls_since(counters, start) if counters else {}
     report.validate()
     return report

@@ -266,7 +266,7 @@ class CompositeProblem:
         self.c = c
         self.L = float(h.lip)
         self.beta = float(c.beta)
-        self.counters = {"c_eval": 0, "c_jvp": 0, "c_vjp": 0, "g_prox": 0}
+        self.counters = {"c_eval": 0, "c_jvp": 0, "c_vjp": 0}
 
     @property
     def rho(self) -> float:
@@ -290,10 +290,6 @@ class CompositeProblem:
     def c_vjp(self, x, u):
         self.counters["c_vjp"] += 1
         return self.c.vjp(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-
-    def g_prox(self, nu, z):
-        self.counters["g_prox"] += 1
-        return self.g.prox(nu, z)
 
     def subgrad(self, x) -> np.ndarray:
         """A subgradient of F at x via the chain rule (g must be smooth

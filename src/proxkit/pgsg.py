@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidModulus, OracleFailure
-from .report import SolverReport
+from .report import SolverReport, calls_since
 from .rng import RandomStream
 
 
@@ -45,7 +45,9 @@ class StochasticProblem:
     failing outer step is replayed on the same draws (see the module
     docstring).  ``presample(rng, n)``, when given, returns n draws as an
     array, which PGSG hands to ``stoch_subgrad`` through ``tolist()``, so
-    integer draws arrive as Python ints.
+    integer draws arrive as Python ints.  ``counters`` holds the
+    subgradients PGSG spends, added when an outer step completes (a
+    replayed one counts twice).
     """
 
     sample: Callable[[RandomStream], object]
@@ -57,6 +59,9 @@ class StochasticProblem:
     full_value: Optional[Callable[[np.ndarray], float]] = None
     envelope_oracle: object = None
     presample: Optional[Callable[[RandomStream, int], np.ndarray]] = None
+
+    def __post_init__(self):
+        self.counters = {"stoch_subgrad": 0}
 
 
 @dataclass
@@ -155,7 +160,8 @@ def pgsg_run(
     subgrad = problem.stoch_subgrad
     two_rho = 2.0 * rho
 
-    subgrad_evals = 0
+    counters = problem.counters
+    start = dict(counters)
     visited = [x.copy()]
 
     def stationarity(xt, xprev):
@@ -187,17 +193,18 @@ def pgsg_run(
             raise
         if not np.all(np.isfinite(vsum)):
             _replay(args)
-        subgrad_evals += j_t - 1
+            counters["stoch_subgrad"] += j_t - 1  # the replay's calls
+        counters["stoch_subgrad"] += j_t - 1
         x_new = acc / j_t
         if (t + 1) % stat_every == 0 or t == 0 or t == outer_iters - 1:
-            report.record(t + 1, x_new, objective(x_new),
-                          stationarity(x_new, x), subgrad_evals)
+            report.record(t + 1, x_new, objective(x_new), stationarity(x_new, x),
+                          calls_since(counters, start)["stoch_subgrad"])
         x = x_new
         visited.append(x.copy())
 
     # the guarantee holds for an iterate drawn uniformly from x_1..x_T
     pick = int(rng.integers(1, outer_iters + 1))
     report.solution = visited[pick]
-    report.oracle_calls = {"stoch_subgrad": subgrad_evals}
+    report.oracle_calls = calls_since(counters, start)
     report.validate()
     return report

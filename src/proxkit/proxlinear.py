@@ -26,7 +26,7 @@ import numpy as np
 from .core import operator_norm
 from .errors import BudgetExceeded
 from .oracles import CompositeProblem, SmoothPlusProx
-from .report import SolverReport
+from .report import SolverReport, calls_since
 
 # Gap asked of the first subproblem under the adaptive schedule.  The
 # inexact prox-linear analysis (Drusvyatskiy & Paquette, arXiv 1605.00125)
@@ -48,11 +48,10 @@ _NORM_SAFETY = 1.2
 
 @dataclass
 class SurrogateGradient:
-    """Scaled prox-linear step beta * (x_next - x_t)."""
+    """Norm of the scaled prox-linear step beta * (x_next - x_t), and the
+    model gap the step certified."""
 
-    g_vec: np.ndarray
     norm: float
-    beta_used: float
     gap: float
 
 
@@ -237,10 +236,7 @@ def proxlinear_step(
         x_next, dual, gap = _solve_model_subproblem(
             problem, x_t, beta, gap_tol=inner_tol, max_iters=budget, warm_dual=warm_dual
         )
-    step = beta * (x_next - x_t)
-    surr = SurrogateGradient(
-        g_vec=step, norm=float(np.linalg.norm(step)), beta_used=beta, gap=gap
-    )
+    surr = SurrogateGradient(norm=float(np.linalg.norm(beta * (x_next - x_t))), gap=gap)
     return x_next, surr, dual
 
 
@@ -272,6 +268,7 @@ def proxlinear_run(
     ``inner_tol`` is the gap the stopping step must certify: a loosely
     solved step cannot stop the run, however small its surrogate norm.
     Without ``adaptive_inner`` every subproblem is solved to ``inner_tol``.
+    Oracle calls are counted from the start of this run.
     """
     x = np.asarray(x0, dtype=float).copy()
     if beta is None:
@@ -280,6 +277,7 @@ def proxlinear_run(
         inner_tol = stat_tol / 100.0
 
     report = SolverReport(seed=seed)
+    start = dict(problem.counters)
 
     dual = None
     gap_tol = max(inner_tol, _FIRST_INNER_TOL) if adaptive_inner else inner_tol
@@ -288,7 +286,7 @@ def proxlinear_run(
         x_next, surr, dual = proxlinear_step(
             problem, x, beta, inner_tol=gap_tol, budget=inner_budget, warm_dual=dual
         )
-        evals = sum(problem.counters.values())
+        evals = sum(calls_since(problem.counters, start).values())
         report.record(t, x, problem.value(x), surr.norm, evals, keep_iterate=True)
         x = x_next
         if surr.norm <= stat_tol and surr.gap <= inner_tol:
@@ -298,7 +296,7 @@ def proxlinear_run(
             gap_tol = max(gap_floor, min(gap_tol, 0.05 * beta * s**4))
 
     report.solution = x
-    report.oracle_calls = dict(problem.counters)
+    report.oracle_calls = calls_since(problem.counters, start)
     report.validate()
     return report
 

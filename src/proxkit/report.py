@@ -7,13 +7,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def calls_since(counters: dict, start: dict) -> dict:
+    """Oracle calls by kind since ``start``, the copy of ``counters`` a run
+    takes when it begins.  A bundle's ``counters`` is the one place its
+    oracle calls are counted, over the instance's life; each run reports
+    this difference, so runs sharing an instance count only their own."""
+    return {k: n - start[k] for k, n in counters.items()}
+
+
 @dataclass
 class SolverReport:
     """Iterate and stationarity history of a single solver run.
 
     ``objective_history`` and ``stationarity_history`` always have equal
-    length; ``evals_history`` tracks the cumulative oracle-call count at
-    each recorded iteration and is therefore monotone.
+    length; ``evals_history`` tracks the run's cumulative oracle-call
+    count at each recorded iteration and is therefore monotone.
     """
 
     iterates: list = field(default_factory=list)

@@ -174,7 +174,6 @@ def test_criterion_6_svrg_regime_boundary():
 
     def evals_for(inst, kappa, seed=0):
         prob = inst.problem
-        prob.grad_evals = 0
         x0 = RandomStream(seed, stream_id=90).normal(prob.dim)
         rep = catalyst_run(prob, inner_method("svrg"), kappa, x0,
                            outer_iters=3000, eps=1e-7,

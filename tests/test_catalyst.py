@@ -13,12 +13,17 @@ from proxkit import (
     Zero,
     catalyst_run,
     choose_kappa,
-    gd_run,
+    default_schedule,
     inner_method,
     make_erm_logistic,
+    make_lasso,
+    make_phase_retrieval,
     make_ridge,
     momentum_update,
+    pgsg_run,
     prox_gd_run,
+    proximal_point_run,
+    proxlinear_run,
     svrg_run,
 )
 from proxkit.oracles import L1Norm
@@ -49,7 +54,7 @@ def _textbook_svrg(sub, warm_start, target_accuracy, budget, rng=None, trace=Non
         if trace is not None:
             trace.append((prob.grad_evals, prob.value(anchor)))
         if bound <= target_accuracy:
-            return anchor, bound, prob.grad_evals - calls0, full
+            return anchor, bound, full
         if prob.grad_evals - calls0 >= budget:
             raise BudgetExceeded("svrg inner budget exhausted",
                                  best_point=anchor, achieved=bound)
@@ -134,7 +139,7 @@ class TestInnerMethods:
         prob, A, b = small_quadratic_sum()
         center = RandomStream(54).normal(4)
         sub = Subproblem(prob, 1.0, center)
-        x, bound, calls, grad = gd_run(sub, center, 1e-14, budget=10**6)
+        x, bound, grad = prox_gd_run(sub, center, 1e-14, budget=10**6)
         # [DERIVED] closed form for the quadratic subproblem
         H = A.T @ A / prob.m + (prob.mu + 1.0) * np.eye(4)
         ref = np.linalg.solve(H, A.T @ b / prob.m + 1.0 * center)
@@ -145,12 +150,12 @@ class TestInnerMethods:
         prob, _, _ = small_quadratic_sum()
         sub = Subproblem(prob, 1.0, np.zeros(4))
         with pytest.raises(BudgetExceeded):
-            gd_run(sub, np.zeros(4), 1e-16, budget=prob.m * 2)
+            prox_gd_run(sub, np.zeros(4), 1e-16, budget=prob.m * 2)
 
     def test_prox_gd_hits_l1_optimality(self):
         prob, A, b = small_quadratic_sum(g=L1Norm(0.3))
         sub = Subproblem(prob, 0.5, np.zeros(4))
-        x, bound, _, _ = prox_gd_run(sub, np.zeros(4), 1e-16, budget=10**6)
+        x, bound, _ = prox_gd_run(sub, np.zeros(4), 1e-16, budget=10**6)
         r = A.T @ (A @ x - b) / prob.m + (prob.mu + 0.5) * x
         for i in range(4):
             if abs(x[i]) > 1e-9:
@@ -163,9 +168,9 @@ class TestInnerMethods:
         prob, A, b = small_quadratic_sum(m=20, mu=1.0)
         sub = Subproblem(prob, 0.0, np.zeros(4))
         before = prob.grad_evals
-        x, bound, calls, _ = svrg_run(sub, np.zeros(4), 1e-12, budget=10**6,
-                                      rng=RandomStream(55, stream_id=31))
-        assert prob.grad_evals - before == calls
+        svrg_run(sub, np.zeros(4), 1e-12, budget=10**6,
+                 rng=RandomStream(55, stream_id=31))
+        calls = prob.grad_evals - before
         # every epoch is one anchor pass (m) plus m draws, except the last
         # anchor which stops before drawing
         assert calls % prob.m == 0
@@ -174,8 +179,8 @@ class TestInnerMethods:
     def test_svrg_converges(self):
         prob, A, b = small_quadratic_sum(m=20, mu=1.0)
         sub = Subproblem(prob, 0.0, np.zeros(4))
-        x, bound, _, _ = svrg_run(sub, np.zeros(4), 1e-14, budget=10**7,
-                                  rng=RandomStream(56, stream_id=31))
+        x, bound, _ = svrg_run(sub, np.zeros(4), 1e-14, budget=10**7,
+                               rng=RandomStream(56, stream_id=31))
         H = A.T @ A / prob.m + prob.mu * np.eye(4)
         ref = np.linalg.solve(H, A.T @ b / prob.m)
         assert np.linalg.norm(x - ref) < 1e-5
@@ -190,9 +195,9 @@ class TestCatalystRun:
         # matches a direct inner run on the unregularized problem
         inst2 = make_ridge(d=10, m=40, cond=100.0, seed=1)
         sub = Subproblem(inst2.problem, 0.0, x0)
-        x_ref, _, calls, _ = gd_run(sub, x0, 1e-9, budget=10**8)
+        x_ref, _, _ = prox_gd_run(sub, x0, 1e-9, budget=10**8)
         assert np.array_equal(rep.solution, x_ref)
-        assert rep.evals_history[-1] == calls
+        assert rep.evals_history[-1] == inst2.problem.grad_evals
 
     @pytest.mark.parametrize("arm", ["gd", "svrg"])
     @pytest.mark.parametrize("accelerated", [False, True])
@@ -264,6 +269,49 @@ class TestCatalystRun:
                            outer_iters=3000, eps=1e-10,
                            rng=RandomStream(58, stream_id=17))
         assert prob.value(rep.solution) - inst.optimum_value < 1e-7
+
+
+def _lasso_proxlinear():
+    prob = make_lasso(d=10, m=25, lam=0.1, seed=3).problem
+    return prob, lambda: proxlinear_run(prob, np.ones(10), outer_iters=5)
+
+
+def _pr_proxlinear():
+    prob = make_phase_retrieval(d=8, m=48, outlier_frac=0.1, seed=0).problem
+    return prob, lambda: proxlinear_run(prob, np.ones(8), outer_iters=5)
+
+
+def _lasso_proximal_point():  # FISTA prox maps
+    prob = make_lasso(d=10, m=25, lam=0.1, seed=3).problem
+    return prob, lambda: proximal_point_run(prob, 1.0 / (2.0 * prob.beta),
+                                            np.ones(10), max_iters=5)
+
+
+def _pr_proximal_point():  # prox-linear prox maps
+    prob = make_phase_retrieval(d=8, m=48, outlier_frac=0.1, seed=0).problem
+    return prob, lambda: proximal_point_run(prob, 1.0 / (2.0 * prob.rho),
+                                            np.ones(8), max_iters=3)
+
+
+def _pr_pgsg():
+    sp = make_phase_retrieval(d=8, m=48, outlier_frac=0.1, seed=0).stochastic
+    return sp, lambda: pgsg_run(sp, np.ones(8), outer_iters=2,
+                                schedule=default_schedule(sp.rho),
+                                rng=RandomStream(64, stream_id=200))
+
+
+@pytest.mark.parametrize("setup", [_lasso_proxlinear, _pr_proxlinear,
+                                   _lasso_proximal_point, _pr_proximal_point,
+                                   _pr_pgsg])
+def test_back_to_back_runs_of_other_solvers_report_equal_counts(setup):
+    # as for catalyst: each run reports the calls it made on the bundle's
+    # counters, which keep the instance's running total
+    bundle, run = setup()
+    reps = [run(), run()]
+    assert reps[0].evals_history == reps[1].evals_history
+    assert reps[0].oracle_calls == reps[1].oracle_calls
+    assert bundle.counters == {k: 2 * n for k, n in reps[0].oracle_calls.items()}
+    assert reps[0].evals_history[-1] <= sum(reps[0].oracle_calls.values())
 
 
 def _run_epochs(run, prob, kappa, center, warm, epochs=1):

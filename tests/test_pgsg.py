@@ -211,6 +211,9 @@ class TestFiniteness:
         # y_0 = 0, then every iterate is clamped to the corner -1
         n = _INNER_OFFSET - 1
         assert np.array_equal(rep.solution, np.full(3, -n / (n + 1)))
+        # the replay that found no bad step made its calls too
+        calls = rep.oracle_calls["stoch_subgrad"]
+        assert calls == prob.counters["stoch_subgrad"] == 2 * n
 
     def test_exception_after_non_finite_step_is_oracle_failure(self):
         def subgrad(x, j):
