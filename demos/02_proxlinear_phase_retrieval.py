@@ -19,6 +19,7 @@ from proxkit import (
     estimate_local_rate,
     make_phase_retrieval,
     proxlinear_run,
+    proxlinear_step,
 )
 
 inst = make_phase_retrieval(d=20, m=160, outlier_frac=0.0, seed=0)
@@ -43,11 +44,14 @@ rate = estimate_local_rate(rep.stationarity_history)
 print("\nestimated local rate:", rate.kind)
 print("oracle calls:", rep.oracle_calls)
 
-# For contrast, the same run with a loose, fixed inner tolerance stalls
-# at the subproblem error level instead of converging quadratically.
-prob2 = make_phase_retrieval(d=20, m=160, outlier_frac=0.0, seed=0).problem
-rep2 = proxlinear_run(prob2, x0, outer_iters=12, stat_tol=1e-13,
-                      inner_tol=1e-4, adaptive_inner=False)
-rate2 = estimate_local_rate(rep2.stationarity_history)
+# For contrast, twelve steps whose subproblems are all solved to a loose,
+# fixed gap stall at the subproblem error level instead of converging
+# quadratically.
+x, dual, surrogates = x0, None, []
+for _ in range(12):
+    x, surr, dual = proxlinear_step(prob, x, prob.L * prob.beta, 1e-4,
+                                    warm_dual=dual)
+    surrogates.append(surr.norm)
+rate2 = estimate_local_rate(surrogates)
 print("\nwith fixed loose subproblem gap 1e-4 the classified rate is:",
-      rate2.kind, "(final surrogate %.2e)" % rep2.stationarity_history[-1])
+      rate2.kind, "(final surrogate %.2e)" % surrogates[-1])

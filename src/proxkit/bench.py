@@ -63,12 +63,7 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 def _init_point(instance, seed: int) -> np.ndarray:
-    dim = getattr(instance.problem, "dim", None)
-    if dim is None and instance.stochastic is not None:
-        dim = instance.stochastic.dim
-    if dim is None:
-        raise ProxkitError("instance %r exposes no dimension" % instance.name)
-    return RandomStream(seed, stream_id=90).normal(int(dim))
+    return RandomStream(seed, stream_id=90).normal(instance.problem.dim)
 
 
 def _need(instance, solver, *classes):
@@ -85,11 +80,12 @@ def _run_proxlinear(instance, p, seed):
     return proxlinear_run(
         instance.problem, _init_point(instance, seed),
         beta=p["beta"], outer_iters=p["outer_iters"],
-        stat_tol=p["stat_tol"], inner_tol=p["inner_tol"], seed=seed,
+        stat_tol=p["stat_tol"], inner_tol=p["inner_tol"],
     )
 
 
 def _run_proximal_point(instance, p, seed):
+    _need(instance, "proximal_point", CompositeProblem, SmoothPlusProx)
     prob = instance.problem
     # 1/(2 L beta): below 1/rho for a composite, whose rho is L beta, and
     # a well-conditioned FISTA subproblem for a convex SmoothPlusProx
@@ -99,7 +95,7 @@ def _run_proximal_point(instance, p, seed):
     return proximal_point_run(
         prob, nu, _init_point(instance, seed),
         max_iters=p["max_iters"], step_tol=p["step_tol"],
-        inner_tol=p["inner_tol"], seed=seed,
+        inner_tol=p["inner_tol"],
     )
 
 
@@ -133,28 +129,27 @@ def _make_finite_sum_runner(inner_name, accelerated):
 
 @dataclass
 class _Solver:
-    name: str
     defaults: dict
     run: callable
 
 
 _SOLVERS = {
-    "proxlinear": _Solver("proxlinear", {
+    "proxlinear": _Solver({
         "outer_iters": 200, "stat_tol": 1e-9, "inner_tol": None, "beta": None,
     }, _run_proxlinear),
-    "proximal_point": _Solver("proximal_point", {
+    "proximal_point": _Solver({
         "nu": None, "max_iters": 100, "step_tol": 0.0, "inner_tol": 1e-10,
     }, _run_proximal_point),
-    "pgsg": _Solver("pgsg", {
+    "pgsg": _Solver({
         "outer_iters": 200, "stat_every": 1, "envelope_inner_tol": 1e-8,
     }, _run_pgsg),
 }
 for _n in ("gd", "prox_gd", "svrg"):
     _defaults = {"outer_iters": 1000, "eps": 1e-10, "inner_budget": 10_000_000,
                  "kappa": None}
-    _SOLVERS[_n] = _Solver(_n, dict(_defaults), _make_finite_sum_runner(_n, False))
+    _SOLVERS[_n] = _Solver(dict(_defaults), _make_finite_sum_runner(_n, False))
     _SOLVERS["catalyst-%s" % _n] = _Solver(
-        "catalyst-%s" % _n, dict(_defaults), _make_finite_sum_runner(_n, True))
+        dict(_defaults), _make_finite_sum_runner(_n, True))
 
 
 def list_solvers() -> list[str]:
@@ -239,6 +234,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 raise ConfigError("seeds must be comma-separated integers", line=ln)
             if not seeds:
                 raise ConfigError("seeds list is empty", line=ln)
+            if len(set(seeds)) < len(seeds):
+                raise ConfigError("seeds must be distinct, got %r" % val, line=ln)
             continue
         if "." not in key:
             raise ConfigError("unknown key %r" % key, line=ln)

@@ -103,13 +103,6 @@ class Subproblem:
     def full_gradient(self, x):
         return self.problem.full_gradient(x) + self.kappa * (x - self.center)
 
-    def smooth_value(self, x):
-        d = x - self.center
-        return self.problem.smooth_value(x) + 0.5 * self.kappa * float(d @ d)
-
-    def value(self, x):
-        return self.smooth_value(x) + self.problem.g.value(x)
-
 
 def momentum_update(alpha_prev: float, q: float) -> tuple[float, float]:
     """Closed-form root in (0, 1] of alpha^2 = (1-alpha) alpha_prev^2 + q alpha,
@@ -261,12 +254,15 @@ def acceleration_ratio(problem: FiniteSumProblem, kappa: float, inner_name: str)
 
 
 def choose_kappa(problem: FiniteSumProblem, inner_name: str) -> float:
-    """Closed-form minimizer of the acceleration ratio for each shipped
-    tau model.
+    """Closed-form kappa for each shipped tau model.
 
-    For gd/prox_gd the minimizer is kappa = beta - 2 mu (floored near 0);
-    for svrg, kappa is picked so the subproblem condition number is about
-    m, and 0 when m >= beta/mu since acceleration cannot help there.
+    For gd/prox_gd it is the minimizer of the acceleration ratio,
+    kappa = beta - 2 mu (floored near 0).  For svrg it is
+    (beta - mu) / (m + 1), which makes the subproblem condition number
+    about m: that is the ratio's minimizing value of mu + kappa, so kappa
+    sits mu above the minimizer and the ratio exceeds its minimum by about
+    (mu / kappa)^2 / 8, relative.  It is 0 when m >= beta/mu, since
+    acceleration cannot help there.
     """
     mu, beta, m = problem.mu, problem.beta_i, problem.m
     if inner_name in ("gd", "prox_gd"):
@@ -309,7 +305,7 @@ def catalyst_run(
         rng = RandomStream(0, stream_id=17)
     start = dict(problem.counters)
     x = np.asarray(x0, dtype=float).copy()
-    report = SolverReport(seed=rng.seed)
+    report = SolverReport()
 
     if kappa == 0.0:
         trace = []

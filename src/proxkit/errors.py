@@ -45,4 +45,3 @@ class ConfigError(ProxkitError):
         if line is not None:
             message = "line %d: %s" % (line, message)
         super().__init__(message)
-        self.line = line

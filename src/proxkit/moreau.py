@@ -94,8 +94,7 @@ def prox_map(f, nu: float, z, inner_tol: float = 1e-10, budget: int = 2000) -> M
             "smooth-plus-prox bundle, or a composite problem" % type(f)
         )
 
-    fval = f.value(p) if callable(getattr(f, "value", None)) else f(p)
-    env_val = float(fval) + float((p - z) @ (p - z)) / (2.0 * nu)
+    env_val = float(f.value(p)) + float((p - z) @ (p - z)) / (2.0 * nu)
     env_grad = (z - p) / nu
     return MoreauPoint(
         prox_point=p,
@@ -144,7 +143,6 @@ def proximal_point_run(
     max_iters: int = 100,
     step_tol: float = 0.0,
     inner_tol: float = 1e-10,
-    seed: int = 0,
 ) -> SolverReport:
     """Fixed-point iteration on the proximal map with step-size stopping.
 
@@ -154,7 +152,7 @@ def proximal_point_run(
     per iteration for a bundle without counters (a closed-form prox).
     """
     x = np.asarray(x0, dtype=float).copy()
-    report = SolverReport(seed=seed)
+    report = SolverReport()
     counters = getattr(f, "counters", None)
     start = dict(counters) if counters else None
     for t in range(max_iters):

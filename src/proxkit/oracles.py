@@ -252,8 +252,6 @@ class SubgradientOracle:
 
     value: Callable[[np.ndarray], float]
     subgrad: Callable[[np.ndarray], np.ndarray]
-    rho: float
-    lip: float
 
 
 class CompositeProblem:
@@ -299,11 +297,6 @@ class CompositeProblem:
         if hasattr(self.g, "subgrad"):
             v = v + self.g.subgrad(x)
         return v
-
-    def as_subgradient_oracle(self) -> SubgradientOracle:
-        return SubgradientOracle(
-            value=self.value, subgrad=self.subgrad, rho=self.rho, lip=np.inf
-        )
 
 
 class SmoothPlusProx:

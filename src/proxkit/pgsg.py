@@ -35,7 +35,7 @@ from .rng import RandomStream
 class StochasticProblem:
     """Sampling access to F(x) = E_zeta f(x, zeta).
 
-    Each x -> f(x, zeta) must be rho-weakly convex and lip-Lipschitz.
+    Each x -> f(x, zeta) must be rho-weakly convex.
     ``full_value`` and ``envelope_oracle`` are evaluation-only extras
     available on synthetic instances: the latter is a deterministic
     bundle accepted by :func:`proxkit.moreau.prox_map`, used to report
@@ -43,22 +43,20 @@ class StochasticProblem:
 
     ``stoch_subgrad(x, zeta)`` must depend on ``(x, zeta)`` alone: a
     failing outer step is replayed on the same draws (see the module
-    docstring).  ``presample(rng, n)``, when given, returns n draws as an
-    array, which PGSG hands to ``stoch_subgrad`` through ``tolist()``, so
-    integer draws arrive as Python ints.  ``counters`` holds the
-    subgradients PGSG spends, added when an outer step completes (a
-    replayed one counts twice).
+    docstring).  ``presample(rng, n)`` returns n draws as an array, which
+    PGSG hands to ``stoch_subgrad`` through ``tolist()``, so integer draws
+    arrive as Python ints.  ``counters`` holds the subgradients PGSG
+    spends, one per inner step begun, whether the step completes or
+    raises (a replayed step counts twice).
     """
 
-    sample: Callable[[RandomStream], object]
     stoch_value: Callable[[np.ndarray, object], float]
     stoch_subgrad: Callable[[np.ndarray, object], np.ndarray]
     rho: float
-    lip: float
     dim: int
+    presample: Callable[[RandomStream, int], np.ndarray]
     full_value: Optional[Callable[[np.ndarray], float]] = None
     envelope_oracle: object = None
-    presample: Optional[Callable[[RandomStream, int], np.ndarray]] = None
 
     def __post_init__(self):
         self.counters = {"stoch_subgrad": 0}
@@ -91,31 +89,37 @@ class _NonFiniteStep(OracleFailure):
     """A replayed inner step produced a non-finite v."""
 
 
-def _inner_loop(subgrad, two_rho, alphas, projector, x, zetas, t, check):
+def _inner_loop(subgrad, two_rho, alphas, projector, x, zetas, t, counters,
+                check):
     """The inner steps of outer step t from center x, one per draw.
 
     Returns the sum of the iterates y_0 .. y_n and the sum of the step
     directions v.  With ``check``, raises _NonFiniteStep at the first
     non-finite v.  The arithmetic is that of
     ``v = g + (2 rho) (y - x); y = y - alpha v`` bit for bit: the in-place
-    forms only swap the operands of IEEE + and *, which commute.
+    forms only swap the operands of IEEE + and *, which commute.  One
+    subgradient per step begun is added to ``counters`` on any exit.
     """
     y = x.copy()
     acc = y.copy()
     vsum = np.zeros_like(y)
-    for j, zeta in enumerate(zetas):
-        v = y - x
-        v *= two_rho
-        v += subgrad(y, zeta)
-        if check and not np.all(np.isfinite(v)):
-            raise _NonFiniteStep(
-                "non-finite subgradient at outer %d, inner %d" % (t, j))
-        vsum += v
-        v *= alphas[j]
-        y = y - v
-        if projector is not None:
-            y = projector.project(y)
-        acc += y
+    j = -1
+    try:
+        for j, zeta in enumerate(zetas):
+            v = y - x
+            v *= two_rho
+            v += subgrad(y, zeta)
+            if check and not np.all(np.isfinite(v)):
+                raise _NonFiniteStep(
+                    "non-finite subgradient at outer %d, inner %d" % (t, j))
+            vsum += v
+            v *= alphas[j]
+            y = y - v
+            if projector is not None:
+                y = projector.project(y)
+            acc += y
+    finally:
+        counters["stoch_subgrad"] += j + 1
     return acc, vsum
 
 
@@ -150,7 +154,7 @@ def pgsg_run(
     """
     x = np.asarray(x0, dtype=float).copy()
     rho = problem.rho
-    report = SolverReport(seed=rng.seed)
+    report = SolverReport()
 
     max_jt = schedule.inner_counts(outer_iters - 1)
     alphas = np.array([schedule.inner_steps(j) for j in range(max_jt)])
@@ -181,11 +185,8 @@ def pgsg_run(
         j_t = int(schedule.inner_counts(t))
         if j_t < 1:
             raise ValueError("inner count must be >= 1")
-        if problem.presample is not None:
-            zetas = problem.presample(rng, max(j_t - 1, 0)).tolist()
-        else:
-            zetas = [problem.sample(rng) for _ in range(max(j_t - 1, 0))]
-        args = (subgrad, two_rho, alphas, projector, x, zetas, t)
+        zetas = problem.presample(rng, max(j_t - 1, 0)).tolist()
+        args = (subgrad, two_rho, alphas, projector, x, zetas, t, counters)
         try:
             acc, vsum = _inner_loop(*args, check=False)
         except Exception:
@@ -193,8 +194,6 @@ def pgsg_run(
             raise
         if not np.all(np.isfinite(vsum)):
             _replay(args)
-            counters["stoch_subgrad"] += j_t - 1  # the replay's calls
-        counters["stoch_subgrad"] += j_t - 1
         x_new = acc / j_t
         if (t + 1) % stat_every == 0 or t == 0 or t == outer_iters - 1:
             report.record(t + 1, x_new, objective(x_new), stationarity(x_new, x),

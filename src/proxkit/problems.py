@@ -110,15 +110,13 @@ def make_phase_retrieval(d: int, m: int, outlier_frac: float = 0.0,
         return (2.0 * t * s) * a
 
     stochastic = StochasticProblem(
-        sample=lambda r: int(r.integers(0, m)),
         stoch_value=lambda x, i: abs(float(A[i] @ x) ** 2 - b2[i]),
         stoch_subgrad=stoch_subgrad,
         rho=rho_stoch,
-        lip=float(4.0 * np.max(row_sq)),  # nominal, on the ||x|| <= 2 ball
         dim=d,
+        presample=lambda r, n: r.integers(0, m, size=n),
         full_value=problem.value,
         envelope_oracle=problem,
-        presample=lambda r, n: r.integers(0, m, size=n),
     )
 
     return SyntheticInstance(

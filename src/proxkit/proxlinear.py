@@ -28,13 +28,13 @@ from .errors import BudgetExceeded
 from .oracles import CompositeProblem, SmoothPlusProx
 from .report import SolverReport, calls_since
 
-# Gap asked of the first subproblem under the adaptive schedule.  The
+# Gap asked of the first subproblem under the tolerance schedule.  The
 # inexact prox-linear analysis (Drusvyatskiy & Paquette, arXiv 1605.00125)
 # only needs each model gap to shrink with the step length, so the first
 # step, taken far from a solution, need not be solved tightly.
 _FIRST_INNER_TOL = 1e-6
 
-# Lowest gap the adaptive schedule asks for (unless inner_tol is lower).
+# Lowest gap the tolerance schedule asks for (unless inner_tol is lower).
 # Below it the computed gap of a model with O(1) data is rounding noise:
 # noiseless phase retrieval at its solution certifies 2e-16 to 1.1e-15,
 # so a smaller request only ends on PDHG's stall exit.
@@ -44,6 +44,9 @@ _GAP_FLOOR = 16 * np.finfo(float).eps
 # PCA Jacobians at random points (10 instances, 300 points); 1.2 leaves a
 # margin over that.
 _NORM_SAFETY = 1.2
+
+# PDHG iterations between duality-gap checks.
+_CHECK_EVERY = 25
 
 
 @dataclass
@@ -82,7 +85,6 @@ def _solve_model_subproblem(
     gap_tol: float,
     max_iters: int = 200_000,
     warm_dual: np.ndarray | None = None,
-    check_every: int = 25,
 ):
     """Accelerated PDHG for min_x g(x) + h(Kx + e) + (beta/2)||x - x_t||^2.
 
@@ -180,7 +182,7 @@ def _solve_model_subproblem(
             xbar += x_new
             x = x_new
 
-            if k % check_every == 0 or k == max_iters:
+            if k % _CHECK_EVERY == 0 or k == max_iters:
                 gap = primal_value(x) - dual_value(u)
                 if gap < 0.75 * best_gap:
                     last_improve = k
@@ -219,7 +221,6 @@ def proxlinear_step(
     x_t,
     beta: float,
     inner_tol: float,
-    budget: int = 200_000,
     warm_dual: np.ndarray | None = None,
 ):
     """One prox-linear step; returns (x_next, SurrogateGradient, dual).
@@ -234,7 +235,7 @@ def proxlinear_step(
         dual = None
     else:
         x_next, dual, gap = _solve_model_subproblem(
-            problem, x_t, beta, gap_tol=inner_tol, max_iters=budget, warm_dual=warm_dual
+            problem, x_t, beta, gap_tol=inner_tol, warm_dual=warm_dual
         )
     surr = SurrogateGradient(norm=float(np.linalg.norm(beta * (x_next - x_t))), gap=gap)
     return x_next, surr, dual
@@ -247,16 +248,13 @@ def proxlinear_run(
     outer_iters: int = 200,
     stat_tol: float = 1e-9,
     inner_tol: float | None = None,
-    inner_budget: int = 200_000,
-    adaptive_inner: bool = True,
-    seed: int = 0,
 ) -> SolverReport:
     """Run the prox-linear method until the surrogate norm drops below
     stat_tol on a step whose achieved subproblem gap is <= inner_tol, or
     the outer budget is exhausted.
 
-    With ``adaptive_inner`` the subproblem gap tolerance follows the last
-    step length s = ||x_{t+1} - x_t||: the first subproblem is solved to
+    The subproblem gap tolerance follows the last step length
+    s = ||x_{t+1} - x_t||: the first subproblem is solved to
     ``max(inner_tol, 1e-6)`` and each later one to
     ``max(floor, min(previous tolerance, 0.05 * beta * s**4))``, so early
     steps far from a solution are solved loosely and the tolerance never
@@ -267,7 +265,6 @@ def proxlinear_run(
 
     ``inner_tol`` is the gap the stopping step must certify: a loosely
     solved step cannot stop the run, however small its surrogate norm.
-    Without ``adaptive_inner`` every subproblem is solved to ``inner_tol``.
     Oracle calls are counted from the start of this run.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -276,24 +273,23 @@ def proxlinear_run(
     if inner_tol is None:
         inner_tol = stat_tol / 100.0
 
-    report = SolverReport(seed=seed)
+    report = SolverReport()
     start = dict(problem.counters)
 
     dual = None
-    gap_tol = max(inner_tol, _FIRST_INNER_TOL) if adaptive_inner else inner_tol
+    gap_tol = max(inner_tol, _FIRST_INNER_TOL)
     gap_floor = min(inner_tol, _GAP_FLOOR)
     for t in range(outer_iters):
         x_next, surr, dual = proxlinear_step(
-            problem, x, beta, inner_tol=gap_tol, budget=inner_budget, warm_dual=dual
+            problem, x, beta, inner_tol=gap_tol, warm_dual=dual
         )
         evals = sum(calls_since(problem.counters, start).values())
         report.record(t, x, problem.value(x), surr.norm, evals, keep_iterate=True)
         x = x_next
         if surr.norm <= stat_tol and surr.gap <= inner_tol:
             break
-        if adaptive_inner:
-            s = surr.norm / beta
-            gap_tol = max(gap_floor, min(gap_tol, 0.05 * beta * s**4))
+        s = surr.norm / beta
+        gap_tol = max(gap_floor, min(gap_tol, 0.05 * beta * s**4))
 
     report.solution = x
     report.oracle_calls = calls_since(problem.counters, start)
@@ -308,11 +304,11 @@ class RateEstimate:
     r_squared: float | None = None
 
 
-def estimate_local_rate(stationarity_history, window: int = 3) -> RateEstimate:
+def estimate_local_rate(stationarity_history) -> RateEstimate:
     """Classify the tail of a residual history.
 
     Declares quadratic when successive log-residual ratios exceed 1.8
-    over the final window (digit doubling), otherwise fits a geometric
+    over the final three (digit doubling), otherwise fits a geometric
     model and reports its rate when the fit explains the data
     (R^2 >= 0.9); undetermined when neither applies.  Trailing zeros are
     truncated before fitting.
@@ -333,13 +329,13 @@ def estimate_local_rate(stationarity_history, window: int = 3) -> RateEstimate:
 
     logs = np.log10(np.asarray(r))
 
-    # quadratic test: ratios of consecutive logs on the final window,
-    # defined only where the residual has dropped below 1
+    # quadratic test: ratios of consecutive logs, the final three of
+    # them, defined only where the residual has dropped below 1
     ratios = []
     for a, b in zip(logs[:-1], logs[1:]):
         if a < -1e-12:
             ratios.append(b / a)
-    if len(ratios) >= window and all(q > 1.8 for q in ratios[-window:]):
+    if len(ratios) >= 3 and all(q > 1.8 for q in ratios[-3:]):
         return RateEstimate("quadratic")
 
     # geometric fit log r_k = a + k log(rate)

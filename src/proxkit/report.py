@@ -30,7 +30,6 @@ class SolverReport:
     evals_history: list = field(default_factory=list)
     iteration_index: list = field(default_factory=list)
     oracle_calls: dict = field(default_factory=dict)
-    seed: int = 0
     solution: np.ndarray | None = None
 
     def record(self, it, x, objective, stationarity, evals, keep_iterate=False):

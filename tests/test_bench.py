@@ -97,6 +97,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config_text(LASSO_CFG.replace("seeds = 0, 1\n", ""))
 
+    def test_duplicate_seeds(self):
+        # a repeated seed would run twice and count twice in the summary
+        with pytest.raises(ConfigError, match="line 7: seeds must be distinct"):
+            parse_config_text(LASSO_CFG.replace("seeds = 0, 1", "seeds = 0, 0"))
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text(LASSO_CFG + "problem.d = 11\n")
@@ -222,18 +227,19 @@ class TestRunExperiment:
         content = open(os.path.join(out, "MANIFEST")).read()
         assert "failed solver_seed0.csv" in content
 
-    def test_proxlinear_on_finite_sum_recorded_in_manifest(self, tmp_path):
-        # ridge is a finite sum, neither kind of composite prox-linear takes
+    @pytest.mark.parametrize("solver", ["proxlinear", "proximal_point"])
+    def test_proxlinear_on_finite_sum_recorded_in_manifest(self, tmp_path, solver):
+        # ridge is a finite sum, neither kind of composite these solvers take
         cfg = parse_config_text("problem.name = ridge\nproblem.d = 4\n"
-                                "problem.m = 10\nsolver.name = proxlinear\n"
-                                "seeds = 0\n")
+                                "problem.m = 10\nsolver.name = %s\n"
+                                "seeds = 0\n" % solver)
         out = str(tmp_path / "ridge")
         manifest = run_experiment(cfg, out)
         assert len(manifest["failures"]) == 1
         content = open(os.path.join(out, "MANIFEST")).read()
-        assert ("failed solver_seed0.csv: solver 'proxlinear' needs a "
+        assert ("failed solver_seed0.csv: solver '%s' needs a "
                 "CompositeProblem or SmoothPlusProx instance, got "
-                "FiniteSumProblem\n") in content
+                "FiniteSumProblem\n" % solver) in content
 
     def test_ratio_row_for_two_arms(self, tmp_path):
         cfg = parse_config_text("""\

@@ -11,6 +11,7 @@ from proxkit import (
     RandomStream,
     Subproblem,
     Zero,
+    acceleration_ratio,
     catalyst_run,
     choose_kappa,
     default_schedule,
@@ -132,6 +133,30 @@ class TestChooseKappa:
         prob, _, _ = small_quadratic_sum()
         with pytest.raises(ValueError):
             choose_kappa(prob, "sdca")
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_ridge(d=50, m=500, cond=1e4, seed=0),
+        lambda: make_erm_logistic(d=50, m=200, mu=2e-3, seed=0),  # criterion 6
+    ], ids=["ridge", "logistic"])
+    def test_against_grid_argmin_of_acceleration_ratio(self, make):
+        prob = make().problem
+
+        def grid_argmin(name, lo=1e-8 * prob.beta_i, hi=10 * prob.beta_i):
+            # a log grid, narrowed to the best point's neighbours 4 times
+            for _ in range(4):
+                grid = np.geomspace(lo, hi, 1001)
+                vals = [acceleration_ratio(prob, k, name) for k in grid]
+                i = int(np.argmin(vals))
+                lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+            return grid[i], vals[i]
+
+        k_gd, _ = grid_argmin("gd")
+        assert choose_kappa(prob, "gd") == pytest.approx(k_gd, rel=1e-6)
+        # svrg's kappa is the minimizing mu + kappa, mu above the argmin
+        k_svrg, best = grid_argmin("svrg")
+        kappa = choose_kappa(prob, "svrg")
+        assert kappa - k_svrg == pytest.approx(prob.mu, rel=1e-3)
+        assert acceleration_ratio(prob, kappa, "svrg") <= (1 + 1e-3) * best
 
 
 class TestInnerMethods:

@@ -79,12 +79,12 @@ class TestFiniteDifference:
 
 
 class TestWeakConvexity:
-    def _oracle(self, value, subgrad, rho, lip=1.0):
-        return SubgradientOracle(value=value, subgrad=subgrad, rho=rho, lip=lip)
+    def _oracle(self, value, subgrad):
+        return SubgradientOracle(value=value, subgrad=subgrad)
 
     def test_abs_is_convex(self):
         f = self._oracle(lambda x: float(np.sum(np.abs(x))),
-                         lambda x: np.sign(x), rho=0.0)
+                         lambda x: np.sign(x))
         rep = check_weak_convexity(f, 0.0, RandomStream(0), trials=200, dim=3)
         assert rep.violations == 0
 
@@ -92,13 +92,13 @@ class TestWeakConvexity:
         # [DERIVED] -||x|| has a downward kink at 0: no finite modulus
         # fixes the midpoint gap along antipodal probes through the origin
         f = self._oracle(lambda x: -float(np.linalg.norm(x)),
-                         lambda x: -x / max(np.linalg.norm(x), 1e-12), rho=0.0)
+                         lambda x: -x / max(np.linalg.norm(x), 1e-12))
         rep = check_weak_convexity(f, 0.0, RandomStream(3), trials=300, dim=3)
         assert rep.violations > 0
 
     def test_concave_quadratic_needs_its_modulus(self):
         # [DERIVED] f(x) = -0.5||x||^2 is exactly 1-weakly convex
-        f = self._oracle(lambda x: -0.5 * float(x @ x), lambda x: -x, rho=1.0)
+        f = self._oracle(lambda x: -0.5 * float(x @ x), lambda x: -x)
         ok = check_weak_convexity(f, 1.0, RandomStream(5), trials=300, dim=4)
         assert ok.violations == 0
         bad = check_weak_convexity(f, 0.5, RandomStream(5), trials=300, dim=4)

@@ -40,10 +40,10 @@ class TestSchedule:
 def tiny_quadratic_problem(rho=1.0, dim=3):
     """f(x, zeta) = 0.5||x - zeta||^2 with zeta ~ N(0, I): F has minimum 0."""
     return StochasticProblem(
-        sample=lambda rng: rng.normal(dim),
         stoch_value=lambda x, z: 0.5 * float((x - z) @ (x - z)),
         stoch_subgrad=lambda x, z: x - z,
-        rho=rho, lip=10.0, dim=dim,
+        rho=rho, dim=dim,
+        presample=lambda rng, n: rng.normal((n, dim)),
         full_value=lambda x: 0.5 * float(x @ x) + 0.5 * dim,
     )
 
@@ -170,12 +170,23 @@ def step_indexed_problem(subgrad, dim=3):
     """Draw j of each outer step is the integer j, so an oracle can
     misbehave at a chosen inner step; F(x) = 0.5||x||^2 otherwise."""
     return StochasticProblem(
-        sample=None,
         stoch_value=lambda x, j: 0.5 * float(x @ x),
         stoch_subgrad=subgrad,
-        rho=1.0, lip=10.0, dim=dim,
+        rho=1.0, dim=dim,
         presample=lambda rng, n: np.arange(n),
     )
+
+
+def tallied(subgrad):
+    """``subgrad`` and the list of draws it was called with, so a test
+    can count the calls the oracle saw."""
+    calls = []
+
+    def counted(x, j):
+        calls.append(j)
+        return subgrad(x, j)
+
+    return counted, calls
 
 
 def run_one_step(prob, projector=None):
@@ -189,10 +200,14 @@ class TestFiniteness:
     first non-finite v as a test on every step would."""
 
     def test_nan_names_its_step(self):
-        prob = step_indexed_problem(
+        subgrad, calls = tallied(
             lambda x, j: np.full(3, np.nan) if j == 7 else x)
+        prob = step_indexed_problem(subgrad)
         with pytest.raises(OracleFailure, match="outer 0, inner 7$"):
             run_one_step(prob)
+        # the full step, then the replay up to its failing call
+        assert len(calls) == _INNER_OFFSET - 1 + 8
+        assert prob.counters["stoch_subgrad"] == len(calls)
 
     def test_inf_clipped_by_projector_still_raises(self):
         # the box clamps y back to finite values after the inf step, so
@@ -225,10 +240,15 @@ class TestFiniteness:
             run_one_step(step_indexed_problem(subgrad))
 
     def test_exception_before_any_non_finite_step_is_reraised(self):
-        def subgrad(x, j):
+        def raising(x, j):
             if j == 7:
                 raise ValueError("oracle down")
             return x
 
+        subgrad, calls = tallied(raising)
+        prob = step_indexed_problem(subgrad)
         with pytest.raises(ValueError, match="oracle down"):
-            run_one_step(step_indexed_problem(subgrad))
+            run_one_step(prob)
+        # the step and its replay each reach the raising call
+        assert len(calls) == 2 * 8
+        assert prob.counters["stoch_subgrad"] == len(calls)

@@ -79,9 +79,8 @@ class TestStructuralInvariants:
     def test_weak_convexity_with_generic_modulus(self, name):
         inst = GENERATORS[name](seed=3, **SMALL[name])
         prob = inst.problem
-        oracle = prob.as_subgradient_oracle()
         rep = check_weak_convexity(
-            oracle, prob.rho, RandomStream(101), trials=200, dim=prob.dim
+            prob, prob.rho, RandomStream(101), trials=200, dim=prob.dim
         )
         assert rep.violations == 0
 
