@@ -56,7 +56,6 @@ from .oracles import (
     SmoothMap,
     SmoothPlusProx,
     SquaredL2,
-    SubgradientOracle,
     Zero,
 )
 from .pgsg import PgsgSchedule, StochasticProblem, default_schedule, pgsg_run

@@ -10,9 +10,12 @@ Configs are flat key-value text files with dotted section names::
     solver.outer_iters = 100
     seeds = 0, 1, 2
 
-An optional ``baseline.*`` section adds a second arm; two-arm runs get a
-``ratio`` row in the summary comparing gradient evaluations to reach
-``run.target_gap``.  Unknown keys are rejected with a line-anchored error.
+A problem's keys are the parameters of its generator; a solver's keys are
+the keyword parameters of the library function it calls, with the same
+defaults.  An optional ``baseline.*`` section adds a second arm; two-arm
+runs get a ``ratio`` row in the summary comparing gradient evaluations to
+reach ``run.target_gap``.  Every section is checked at parse time: an
+unknown key or an out-of-range value is a line-anchored ConfigError.
 
 Every run is fully determined by the config content (plus the
 PROXKIT_SEED_OFFSET environment variable): identical configs produce
@@ -27,6 +30,7 @@ import concurrent.futures
 import hashlib
 import inspect
 import os
+import time
 import traceback
 from dataclasses import dataclass
 
@@ -58,8 +62,9 @@ def _fmt(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Solver registry.  Each entry lists the accepted config keys (with
-# defaults) and a runner (instance, params, seed) -> SolverReport.
+# Solver registry.  An entry is (runner, params): the runner maps
+# (instance, values, seed) to a SolverReport, and params holds the accepted
+# config keys as the inspect.Parameters of the library function it calls.
 # ---------------------------------------------------------------------------
 
 def _init_point(instance, seed: int) -> np.ndarray:
@@ -77,26 +82,19 @@ def _need(instance, solver, *classes):
 
 def _run_proxlinear(instance, p, seed):
     _need(instance, "proxlinear", CompositeProblem, SmoothPlusProx)
-    return proxlinear_run(
-        instance.problem, _init_point(instance, seed),
-        beta=p["beta"], outer_iters=p["outer_iters"],
-        stat_tol=p["stat_tol"], inner_tol=p["inner_tol"],
-    )
+    return proxlinear_run(instance.problem, _init_point(instance, seed), **p)
 
 
 def _run_proximal_point(instance, p, seed):
     _need(instance, "proximal_point", CompositeProblem, SmoothPlusProx)
     prob = instance.problem
-    # 1/(2 L beta): below 1/rho for a composite, whose rho is L beta, and
-    # a well-conditioned FISTA subproblem for a convex SmoothPlusProx
-    nu = p["nu"]
+    p = dict(p)  # shared across seeds and threads
+    nu = p.pop("nu")
     if nu is None:
+        # 1/(2 L beta): below 1/rho for a composite, whose rho is L beta,
+        # and a well-conditioned FISTA subproblem for a convex SmoothPlusProx
         nu = 1.0 / (2.0 * max(prob.L * prob.beta, 1e-12))
-    return proximal_point_run(
-        prob, nu, _init_point(instance, seed),
-        max_iters=p["max_iters"], step_tol=p["step_tol"],
-        inner_tol=p["inner_tol"],
-    )
+    return proximal_point_run(prob, nu, _init_point(instance, seed), **p)
 
 
 def _run_pgsg(instance, p, seed):
@@ -104,52 +102,49 @@ def _run_pgsg(instance, p, seed):
         raise ProxkitError("solver 'pgsg' needs a stochastic instance")
     sp = instance.stochastic
     return pgsg_run(
-        sp, _init_point(instance, seed), outer_iters=p["outer_iters"],
-        schedule=default_schedule(sp.rho), rng=RandomStream(seed, stream_id=200),
-        stat_every=p["stat_every"], envelope_inner_tol=p["envelope_inner_tol"],
+        sp, _init_point(instance, seed), schedule=default_schedule(sp.rho),
+        rng=RandomStream(seed, stream_id=200), **p,
     )
 
 
-def _make_finite_sum_runner(inner_name, accelerated):
+def _finite_sum_runner(inner_name):
+    """Catalyst over ``inner_name``; an arm without a ``kappa`` key runs
+    the inner method alone (kappa = 0)."""
     def run(instance, p, seed):
         _need(instance, inner_name, FiniteSumProblem)
         prob = instance.problem
-        inner = inner_method(inner_name)
-        if accelerated:
-            kappa = p["kappa"] if p["kappa"] is not None else choose_kappa(prob, inner_name)
-        else:
-            kappa = 0.0
+        p = dict(p)  # shared across seeds and threads
+        kappa = p.pop("kappa", 0.0)
+        if kappa is None:
+            kappa = choose_kappa(prob, inner_name)
         return catalyst_run(
-            prob, inner, kappa, _init_point(instance, seed),
-            outer_iters=p["outer_iters"], eps=p["eps"],
-            rng=RandomStream(seed, stream_id=17), inner_budget=p["inner_budget"],
+            prob, inner_method(inner_name), kappa, _init_point(instance, seed),
+            rng=RandomStream(seed, stream_id=17), **p,
         )
     return run
 
 
-@dataclass
-class _Solver:
-    defaults: dict
-    run: callable
+def _keyword_params(fn, **defaults) -> dict:
+    """fn's parameters that have a default, less ``rng`` and ``projector``,
+    which the harness sets, plus the required ones named in ``defaults``
+    with those defaults (None: the runner works the value out)."""
+    sig = inspect.signature(fn, eval_str=True).parameters
+    params = {k: p for k, p in sig.items()
+              if p.default is not p.empty and k not in ("rng", "projector")}
+    params.update((k, sig[k].replace(default=d)) for k, d in defaults.items())
+    return params
 
 
 _SOLVERS = {
-    "proxlinear": _Solver({
-        "outer_iters": 200, "stat_tol": 1e-9, "inner_tol": None, "beta": None,
-    }, _run_proxlinear),
-    "proximal_point": _Solver({
-        "nu": None, "max_iters": 100, "step_tol": 0.0, "inner_tol": 1e-10,
-    }, _run_proximal_point),
-    "pgsg": _Solver({
-        "outer_iters": 200, "stat_every": 1, "envelope_inner_tol": 1e-8,
-    }, _run_pgsg),
+    "proxlinear": (_run_proxlinear, _keyword_params(proxlinear_run)),
+    "proximal_point": (_run_proximal_point,
+                       _keyword_params(proximal_point_run, nu=None)),
+    "pgsg": (_run_pgsg, _keyword_params(pgsg_run, outer_iters=200)),
 }
 for _n in ("gd", "prox_gd", "svrg"):
-    _defaults = {"outer_iters": 1000, "eps": 1e-10, "inner_budget": 10_000_000,
-                 "kappa": None}
-    _SOLVERS[_n] = _Solver(dict(_defaults), _make_finite_sum_runner(_n, False))
-    _SOLVERS["catalyst-%s" % _n] = _Solver(
-        dict(_defaults), _make_finite_sum_runner(_n, True))
+    _SOLVERS[_n] = (_finite_sum_runner(_n), _keyword_params(catalyst_run))
+    _SOLVERS["catalyst-" + _n] = (_finite_sum_runner(_n),
+                                  _keyword_params(catalyst_run, kappa=None))
 
 
 def list_solvers() -> list[str]:
@@ -182,35 +177,71 @@ class ExperimentConfig:
 
 
 def _coerce(raw: str):
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    for kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
     return raw
 
 
-# Value ranges the generators require, checked at parse time so that a bad
-# value exits 2 with its key named instead of failing inside every run.
-# Every integer parameter of a generator is a size and must be positive.
-_PROBLEM_RANGES = {
+_KEYWORD = inspect.Parameter.KEYWORD_ONLY
+_RUN_PARAMS = {
+    "target_gap": inspect.Parameter("target_gap", _KEYWORD, default=None, annotation=float),
+    "record_every": inspect.Parameter("record_every", _KEYWORD, default=1, annotation=int),
+}
+
+# Value ranges beyond "a number" (and "a positive integer" for a parameter
+# annotated int), keyed by (problem, solver or 'run', key): checked at parse
+# time so that a bad value exits 2 with its key named instead of failing
+# inside every run.
+_POSITIVE = ("> 0", lambda v: v > 0.0)
+_RANGES = {
     ("ridge", "cond"): ("> 1", lambda v: v > 1.0),
     ("phase_retrieval", "outlier_frac"): ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
     ("z2_sync", "edge_prob"): ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
     ("z2_sync", "flip_prob"): ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
     ("robust_pca", "sparsity"): ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
     ("lasso", "lam"): (">= 0", lambda v: v >= 0.0),
-    ("erm_logistic", "mu"): ("> 0", lambda v: v > 0.0),
+    ("erm_logistic", "mu"): _POSITIVE,
+    ("proxlinear", "beta"): _POSITIVE,
+    ("proximal_point", "nu"): _POSITIVE,
+    ("proximal_point", "inner_tol"): _POSITIVE,
+    ("pgsg", "envelope_inner_tol"): _POSITIVE,
+    ("run", "target_gap"): _POSITIVE,
 }
+for _n in ("gd", "prox_gd", "svrg"):
+    _RANGES[("catalyst-" + _n, "kappa")] = (">= 0", lambda v: v >= 0.0)
 
 
 def _generator_params(name: str) -> dict:
     """The generator's parameters other than ``seed``, by name."""
     sig = inspect.signature(GENERATORS[name], eval_str=True)
     return {k: p for k, p in sig.parameters.items() if k != "seed"}
+
+
+def _check_section(section: str, values: dict, params: dict, owner: str,
+                   whose: str, lines: dict) -> dict:
+    """Check one section's values against ``params`` (key ->
+    inspect.Parameter) and return every key's value, defaults filled in.
+    ``owner`` keys _RANGES; ``whose`` ends the unknown and missing key
+    messages."""
+    for k, v in values.items():
+        key, at = "%s.%s" % (section, k), lines[(section, k)]
+        if k not in params:
+            raise ConfigError("unknown key '%s'%s" % (key, whose), line=at)
+        if not isinstance(v, (int, float)):
+            raise ConfigError("%s must be a number, got %r" % (key, v), line=at)
+        if params[k].annotation is int and not (isinstance(v, int) and v >= 1):
+            raise ConfigError("%s must be a positive integer, got %r" % (key, v),
+                              line=at)
+        rule = _RANGES.get((owner, k))
+        if rule and not rule[1](v):
+            raise ConfigError("%s must be %s, got %r" % (key, rule[0], v), line=at)
+    for k, p in params.items():
+        if p.default is p.empty and k not in values:
+            raise ConfigError("missing required key '%s.%s'%s" % (section, k, whose))
+    return {k: values.get(k, p.default) for k, p in params.items()}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -250,82 +281,38 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if seeds is None:
         raise ConfigError("missing required key 'seeds'")
 
-    # problem section
     prob = sections["problem"]
-    if "name" not in prob:
+    pname = prob.pop("name", None)
+    if pname is None:
         raise ConfigError("missing required key 'problem.name'")
-    pname = prob["name"]
     if pname not in GENERATORS:
         raise ConfigError("unknown problem %r (see --list-problems)" % pname,
                           line=lines[("problem", "name")])
-    params = _generator_params(pname)
-    for k, v in prob.items():
-        if k == "name":
-            continue
-        if k not in params:
-            raise ConfigError("unknown key 'problem.%s' for problem %r" % (k, pname),
-                              line=lines[("problem", k)])
-        if not isinstance(v, (int, float)):
-            raise ConfigError("problem.%s must be a number, got %r" % (k, v),
-                              line=lines[("problem", k)])
-        if params[k].annotation is int and not (isinstance(v, int) and v >= 1):
-            raise ConfigError("problem.%s must be a positive integer, got %r" % (k, v),
-                              line=lines[("problem", k)])
-        rule = _PROBLEM_RANGES.get((pname, k))
-        if rule and not rule[1](v):
-            raise ConfigError("problem.%s must be %s, got %r" % (k, rule[0], v),
-                              line=lines[("problem", k)])
-    for k, p in params.items():
-        if p.default is p.empty and k not in prob:
-            raise ConfigError("missing required key 'problem.%s' for problem %r"
-                              % (k, pname))
+    prob = _check_section("problem", prob, _generator_params(pname), pname,
+                          " for problem %r" % pname, lines)
     if pname == "robust_pca" and prob["r"] > min(prob["mrows"], prob["ncols"]):
         raise ConfigError("problem.r must be <= min(problem.mrows, problem.ncols), "
                           "got %r" % prob["r"], line=lines[("problem", "r")])
 
-    # solver arms
     arms = []
     for arm in ("solver", "baseline"):
         spec = sections[arm]
-        if not spec:
-            if arm == "solver":
-                raise ConfigError("missing required key 'solver.name'")
+        if not spec and arm == "baseline":
             continue
-        if "name" not in spec:
+        sname = spec.pop("name", None)
+        if sname is None:
             raise ConfigError("missing required key '%s.name'" % arm)
-        sname = spec["name"]
         if sname not in _SOLVERS:
             raise ConfigError("unknown solver %r (see --list-solvers)" % sname,
                               line=lines[(arm, "name")])
-        params = dict(_SOLVERS[sname].defaults)
-        for k, v in spec.items():
-            if k == "name":
-                continue
-            if k not in params:
-                raise ConfigError("unknown key '%s.%s' for solver %r" % (arm, k, sname),
-                                  line=lines[(arm, k)])
-            params[k] = v
-        arms.append((arm, sname, params))
+        arms.append((arm, sname, _check_section(
+            arm, spec, _SOLVERS[sname][1], sname, " for solver %r" % sname, lines)))
 
-    # run section
-    run = dict(sections["run"])
-    target_gap = run.pop("target_gap", None)
-    record_every = run.pop("record_every", 1)
-    if run:
-        k = next(iter(run))
-        raise ConfigError("unknown key 'run.%s'" % k, line=lines[("run", k)])
-    if not (isinstance(record_every, int) and record_every >= 1):
-        raise ConfigError("run.record_every must be a positive integer",
-                          line=lines.get(("run", "record_every")))
-    if target_gap is not None and not (
-        isinstance(target_gap, (int, float)) and target_gap > 0
-    ):
-        raise ConfigError("run.target_gap must be a positive real",
-                          line=lines.get(("run", "target_gap")))
-
+    run = _check_section("run", sections["run"], _RUN_PARAMS, "run", "", lines)
     return ExperimentConfig(
-        problem=prob, arms=arms, seeds=seeds,
-        target_gap=target_gap, record_every=int(record_every), source_text=text,
+        problem={"name": pname, **prob}, arms=arms, seeds=seeds,
+        target_gap=run["target_gap"], record_every=run["record_every"],
+        source_text=text,
     )
 
 
@@ -389,14 +376,13 @@ def _build_instance(config: ExperimentConfig, seed: int):
 
 def _run_one(config: ExperimentConfig, arm: str, solver_name: str,
              params: dict, seed: int):
-    import time
-
+    """One task: (report, the instance's optimum value, wall_ns)."""
     instance = _build_instance(config, seed)
     t0 = time.perf_counter_ns()
-    report = _SOLVERS[solver_name].run(instance, params, seed)
+    report = _SOLVERS[solver_name][0](instance, params, seed)
     elapsed = time.perf_counter_ns() - t0
     wall_ns = elapsed if os.environ.get("PROXKIT_TIMING") == "1" else 0
-    return instance, report, wall_ns
+    return report, instance.optimum_value, wall_ns
 
 
 def _run_csv_text(config: ExperimentConfig, report, seed: int, wall_ns: int) -> str:
@@ -448,68 +434,54 @@ def run_experiment(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> dic
 
     tasks = [(arm, sname, params, seed)
              for arm, sname, params in config.arms for seed in seeds]
-    results: dict[tuple, tuple] = {}
-    failures: list[dict] = []
 
     def attempt(task):
-        arm, sname, params, seed = task
         try:
-            return _run_one(config, arm, sname, params, seed)
+            return _run_one(config, *task)
         except Exception as exc:  # a crashing task is recorded, not fatal
             return exc
 
     if jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(zip(tasks, pool.map(attempt, tasks)))
+            results = iter(list(pool.map(attempt, tasks)))
     else:
-        outcomes = [(t, attempt(t)) for t in tasks]
+        results = iter([attempt(t) for t in tasks])
 
-    files = []
-    for task, result in outcomes:
-        arm, sname, params, seed = task
-        fname = "%s_seed%d.csv" % (arm, seed)
-        if isinstance(result, Exception):
-            failures.append(_failure(fname, arm, sname, seed, result))
-            continue
-        instance, report, wall_ns = result
-        results[(arm, seed)] = (instance, report)
-        path = os.path.join(out_dir, fname)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(_run_csv_text(config, report, seed, wall_ns))
-        files.append(fname)
-
-    # summary: one quartile block per arm, plus a ratio row for two arms
+    # one CSV per task and one quartile block per arm; for two arms, a
+    # ratio row of the median evals to reach target_gap
+    files: list[str] = []
+    failures: list[dict] = []
     summary_lines = ["# proxkit=%s,config_sha256=%s" % (_VERSION, config.sha256),
                      "arm," + _SUMMARY_COLUMNS]
-    arm_reports = {}
-    for arm, sname, params in config.arms:
-        reports = [results[(arm, s)][1] for s in seeds if (arm, s) in results]
-        if not reports:
-            continue
-        arm_reports[arm] = reports
-        body = emit_summary(reports).splitlines()[1:]  # drop inner header
-        summary_lines.extend("%s,%s" % (arm, row) for row in body)
-
-    if len(config.arms) == 2 and config.target_gap is not None and len(arm_reports) == 2:
-        meds = {}
-        for arm, _, _ in config.arms:
-            f_star = None
-            counts = []
-            for s in seeds:
-                if (arm, s) not in results:
-                    continue
-                instance, report = results[(arm, s)]
-                f_star = instance.optimum_value
-                ev = _evals_to_target(report, f_star, config.target_gap)
+    medians = {}
+    for arm, sname, _ in config.arms:
+        reports, to_target = [], []
+        for seed in seeds:
+            result = next(results)
+            fname = "%s_seed%d.csv" % (arm, seed)
+            if isinstance(result, Exception):
+                failures.append(_failure(fname, arm, sname, seed, result))
+                continue
+            report, optimum_value, wall_ns = result
+            with open(os.path.join(out_dir, fname), "w", newline="\n") as fh:
+                fh.write(_run_csv_text(config, report, seed, wall_ns))
+            files.append(fname)
+            reports.append(report)
+            if config.target_gap is not None:
+                ev = _evals_to_target(report, optimum_value, config.target_gap)
                 if ev is not None:
-                    counts.append(ev)
-            meds[arm] = float(np.median(counts)) if counts else None
-        if meds.get("solver") and meds.get("baseline"):
-            ratio = meds["baseline"] / meds["solver"]
-            summary_lines.append(",".join([
-                "ratio", "baseline_over_solver", _fmt(ratio),
-                _fmt(meds["solver"]), _fmt(meds["baseline"]), "", "", "",
-            ]))
+                    to_target.append(ev)
+        if reports:
+            body = emit_summary(reports).splitlines()[1:]  # drop inner header
+            summary_lines.extend("%s,%s" % (arm, row) for row in body)
+        medians[arm] = float(np.median(to_target)) if to_target else None
+
+    if medians.get("solver") and medians.get("baseline"):
+        summary_lines.append(",".join([
+            "ratio", "baseline_over_solver",
+            _fmt(medians["baseline"] / medians["solver"]),
+            _fmt(medians["solver"]), _fmt(medians["baseline"]), "", "", "",
+        ]))
 
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="\n") as fh:
         fh.write("\n".join(summary_lines) + "\n")

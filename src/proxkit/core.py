@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProbeFailure
-from .oracles import SmoothMap, SubgradientOracle, euclidean_norm
+from .oracles import SmoothMap, euclidean_norm
 from .rng import RandomStream
 
 
@@ -58,7 +58,7 @@ class WeakConvexityReport:
 
 
 def check_weak_convexity(
-    f: SubgradientOracle,
+    f,
     rho: float,
     sampler: RandomStream,
     trials: int = 1000,

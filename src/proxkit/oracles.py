@@ -15,20 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import OracleFailure
-
-
-def as_vector(x) -> np.ndarray:
-    """Validate and return a finite 1-D float64 array."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim == 0:
-        v = v.reshape(1)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-D vector, got shape %s" % (v.shape,))
-    if not np.all(np.isfinite(v)):
-        raise OracleFailure("vector contains non-finite entries")
-    return v
-
 
 def euclidean_norm(x) -> float:
     """||x||_2 of a float array, by np.linalg.norm's own arithmetic for
@@ -244,14 +230,6 @@ class SmoothMap:
     dim_in: int
     dim_out: int
     linearize: Optional[Callable] = None
-
-
-@dataclass
-class SubgradientOracle:
-    """Weakly convex function with a subgradient selection."""
-
-    value: Callable[[np.ndarray], float]
-    subgrad: Callable[[np.ndarray], np.ndarray]
 
 
 class CompositeProblem:

@@ -93,6 +93,68 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=message):
             parse_config_text(text + "solver.name = proxlinear\nseeds = 0\n")
 
+    @pytest.mark.parametrize("solver,key,value,message", [
+        ("proxlinear", "outer_iters", "abc", "must be a number, got 'abc'"),
+        ("proxlinear", "outer_iters", "0", "must be a positive integer, got 0"),
+        ("pgsg", "stat_every", "0", "must be a positive integer, got 0"),
+        ("proximal_point", "max_iters", "1e3", "must be a positive integer, got 1000.0"),
+        ("svrg", "inner_budget", "1e7", "must be a positive integer, got 10000000.0"),
+        ("proxlinear", "beta", "0", "must be > 0, got 0"),
+        ("proxlinear", "beta", "-2", "must be > 0, got -2"),
+        ("proximal_point", "nu", "0", "must be > 0, got 0"),
+        ("proximal_point", "inner_tol", "0", "must be > 0, got 0"),
+        ("pgsg", "envelope_inner_tol", "0", "must be > 0, got 0"),
+        ("catalyst-gd", "kappa", "-1", "must be >= 0, got -1"),
+    ])
+    def test_out_of_range_solver_value_rejected(self, solver, key, value, message):
+        text = ("problem.name = lasso\nproblem.d = 5\nproblem.m = 10\n"
+                "solver.name = %s\nsolver.%s = %s\nseeds = 0\n" % (solver, key, value))
+        with pytest.raises(ConfigError, match="line 5: solver.%s %s" % (key, message)):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("solver", ["gd", "prox_gd", "svrg"])
+    def test_kappa_on_plain_arm_rejected(self, solver):
+        text = ("problem.name = ridge\nproblem.d = 4\nproblem.m = 10\n"
+                "solver.name = %s\nsolver.kappa = 5\nseeds = 0\n" % solver)
+        with pytest.raises(ConfigError, match="line 5: unknown key 'solver.kappa' "
+                                              "for solver '%s'" % solver):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("run.name = x\n", "line 8: unknown key 'run.name'"),
+        ("run.record_every = 0\n", "line 8: run.record_every must be a positive integer"),
+        ("run.target_gap = -1\n", "line 8: run.target_gap must be > 0, got -1"),
+        ("baseline.outer_iters = 3\n", "missing required key 'baseline.name'"),
+    ])
+    def test_run_and_baseline_sections_checked(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(LASSO_CFG + text)
+
+    # Every solver's keys and defaults, written out: a change to a library
+    # function's signature must not add or change a config key silently.
+    _FINITE_SUM = {"outer_iters": 1000, "eps": 1e-10, "inner_budget": 10_000_000}
+    SOLVER_KEYS = {
+        "proxlinear": {"outer_iters": 200, "stat_tol": 1e-9, "inner_tol": None,
+                       "beta": None},
+        "proximal_point": {"nu": None, "max_iters": 100, "step_tol": 0.0,
+                           "inner_tol": 1e-10},
+        "pgsg": {"outer_iters": 200, "stat_every": 1, "envelope_inner_tol": 1e-8},
+        "gd": _FINITE_SUM,
+        "prox_gd": _FINITE_SUM,
+        "svrg": _FINITE_SUM,
+        "catalyst-gd": {**_FINITE_SUM, "kappa": None},
+        "catalyst-prox_gd": {**_FINITE_SUM, "kappa": None},
+        "catalyst-svrg": {**_FINITE_SUM, "kappa": None},
+    }
+
+    def test_solver_keys_and_defaults_pinned(self):
+        assert sorted(self.SOLVER_KEYS) == list_solvers()
+        for solver, keys in self.SOLVER_KEYS.items():
+            cfg = parse_config_text("problem.name = lasso\nproblem.d = 5\n"
+                                    "problem.m = 10\nsolver.name = %s\n"
+                                    "seeds = 0\n" % solver)
+            assert cfg.arms == [("solver", solver, keys)], solver
+
     def test_missing_seeds(self):
         with pytest.raises(ConfigError, match="seeds"):
             parse_config_text(LASSO_CFG.replace("seeds = 0, 1\n", ""))
@@ -317,6 +379,16 @@ class TestCli:
         out = tmp_path / "o"
         assert cli_main(["run", str(p), "--out", str(out)]) == 2
         assert "line 2: problem.d must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_outer_iters_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "zero.cfg"
+        p.write_text(LASSO_CFG.replace("solver.outer_iters = 30",
+                                       "solver.outer_iters = 0"))
+        out = tmp_path / "o"
+        assert cli_main(["run", str(p), "--out", str(out)]) == 2
+        assert ("line 6: solver.outer_iters must be a positive integer, got 0"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_bad_generator_argument_exits_2(self, tmp_path, capsys):

@@ -1,10 +1,11 @@
-"""Core utilities: vectors, random streams, finite differences, probes."""
+"""Core utilities: random streams, finite differences, probes."""
+
+import types
 
 import numpy as np
 import pytest
 
 from proxkit import (
-    OracleFailure,
     ProbeFailure,
     RandomStream,
     check_adjoint_consistency,
@@ -12,25 +13,6 @@ from proxkit import (
     finite_difference_gradient,
     operator_norm,
 )
-from proxkit.oracles import SubgradientOracle, as_vector
-
-
-class TestAsVector:
-    def test_scalar_promotes_to_1d(self):
-        v = as_vector(3.0)
-        assert v.shape == (1,) and v.dtype == np.float64
-
-    def test_list_roundtrip(self):
-        v = as_vector([1, 2, 3])
-        assert np.array_equal(v, [1.0, 2.0, 3.0])
-
-    def test_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            as_vector(np.zeros((2, 2)))
-
-    def test_nan_rejected(self):
-        with pytest.raises(OracleFailure):
-            as_vector([1.0, np.nan])
 
 
 class TestRandomStream:
@@ -80,7 +62,7 @@ class TestFiniteDifference:
 
 class TestWeakConvexity:
     def _oracle(self, value, subgrad):
-        return SubgradientOracle(value=value, subgrad=subgrad)
+        return types.SimpleNamespace(value=value, subgrad=subgrad)
 
     def test_abs_is_convex(self):
         f = self._oracle(lambda x: float(np.sum(np.abs(x))),
