@@ -29,6 +29,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import inspect
+import math
 import os
 import time
 import traceback
@@ -191,27 +192,31 @@ _RUN_PARAMS = {
     "record_every": inspect.Parameter("record_every", _KEYWORD, default=1, annotation=int),
 }
 
-# Value ranges beyond "a number" (and "a positive integer" for a parameter
-# annotated int), keyed by (problem, solver or 'run', key): checked at parse
-# time so that a bad value exits 2 with its key named instead of failing
-# inside every run.
+# Value ranges beyond "a finite number" (and "a positive integer" for a
+# parameter annotated int), keyed by (problem, solver or 'run', key):
+# checked at parse time so that a bad value exits 2 with its key named
+# instead of failing inside every run.
 _POSITIVE = ("> 0", lambda v: v > 0.0)
+_NON_NEGATIVE = (">= 0", lambda v: v >= 0.0)
 _RANGES = {
     ("ridge", "cond"): ("> 1", lambda v: v > 1.0),
     ("phase_retrieval", "outlier_frac"): ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
     ("z2_sync", "edge_prob"): ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
     ("z2_sync", "flip_prob"): ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
     ("robust_pca", "sparsity"): ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    ("lasso", "lam"): (">= 0", lambda v: v >= 0.0),
+    ("lasso", "lam"): _NON_NEGATIVE,
     ("erm_logistic", "mu"): _POSITIVE,
     ("proxlinear", "beta"): _POSITIVE,
+    ("proxlinear", "stat_tol"): _NON_NEGATIVE,
     ("proximal_point", "nu"): _POSITIVE,
+    ("proximal_point", "step_tol"): _NON_NEGATIVE,
     ("proximal_point", "inner_tol"): _POSITIVE,
     ("pgsg", "envelope_inner_tol"): _POSITIVE,
     ("run", "target_gap"): _POSITIVE,
 }
 for _n in ("gd", "prox_gd", "svrg"):
-    _RANGES[("catalyst-" + _n, "kappa")] = (">= 0", lambda v: v >= 0.0)
+    _RANGES[("catalyst-" + _n, "kappa")] = _NON_NEGATIVE
+    _RANGES[(_n, "eps")] = _RANGES[("catalyst-" + _n, "eps")] = _POSITIVE
 
 
 def _generator_params(name: str) -> dict:
@@ -232,6 +237,8 @@ def _check_section(section: str, values: dict, params: dict, owner: str,
             raise ConfigError("unknown key '%s'%s" % (key, whose), line=at)
         if not isinstance(v, (int, float)):
             raise ConfigError("%s must be a number, got %r" % (key, v), line=at)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError("%s must be a finite number, got %r" % (key, v), line=at)
         if params[k].annotation is int and not (isinstance(v, int) and v >= 1):
             raise ConfigError("%s must be a positive integer, got %r" % (key, v),
                               line=at)

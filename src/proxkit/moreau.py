@@ -17,43 +17,73 @@ surrogate), a computable stand-in for distance to the subproblem optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceeded, NonconvexSubproblem
-from .oracles import CompositeProblem, ShiftedQuadraticProx, SmoothPlusProx
+from .oracles import CompositeProblem, ShiftedQuadraticProx, SmoothPlusProx, euclidean_norm
 from .report import SolverReport, calls_since
+
+
+# Inner tolerance of a proximal-point step relative to the previous step's
+# envelope-gradient norm (see proximal_point_run).
+_INNER_REL = 0.01
 
 
 @dataclass
 class MoreauPoint:
-    """Certified output of a proximal-map computation."""
+    """Certified output of a proximal-map computation; ``prox_value`` is
+    f(prox_point), the value the envelope value is built from."""
 
     prox_point: np.ndarray
     envelope_value: float
     envelope_gradient: np.ndarray
     certificate: float
+    prox_value: float
 
 
-def _fista_prox(smooth_grad, lips, mu, g, z0, inner_tol, budget):
-    """Strongly convex FISTA: min s(x) + g(x), modulus mu, smoothness lips.
+def _fista_prox(f: SmoothPlusProx, nu, z, inner_tol, budget):
+    """Strongly convex FISTA on the prox subproblem of f = s + g at z:
+    min s(x) + ||x - z||^2/(2 nu) + g(x), modulus 1/nu - rho, smoothness
+    beta + 1/nu.
 
     Returns (x, residual) where residual is the prox-gradient mapping norm.
+    Gradients and prox steps go on ``f.counters``, one of each per step
+    begun.  The loop writes only into its own buffers, never into an
+    array an oracle returned.
     """
-    x = np.asarray(z0, dtype=float).copy()
-    y = x.copy()
-    sq = np.sqrt(mu / lips)
+    lips = f.beta + 1.0 / nu
+    sq = math.sqrt((1.0 / nu - f.rho) / lips)
     momentum = (1.0 - sq) / (1.0 + sq)
+    step = 1.0 / lips
+    grad, prox = f.smooth_grad, f.g.prox
+    x = z.copy()
+    y = z.copy()
+    shift = np.empty_like(y)
+    diff = np.empty_like(y)
     residual = np.inf
-    for k in range(budget):
-        grad = smooth_grad(y)
-        x_new = g.prox(1.0 / lips, y - grad / lips)
-        residual = lips * np.linalg.norm(x_new - y)
-        if residual <= inner_tol:
-            return x_new, float(residual)
-        y = x_new + momentum * (x_new - x)
-        x = x_new
+    k = 0
+    try:
+        for k in range(1, budget + 1):
+            # shift = (s'(y) + (y - z)/nu) / lips: the subproblem's gradient step
+            np.subtract(y, z, out=shift)
+            shift /= nu
+            np.add(grad(y), shift, out=shift)
+            shift /= lips
+            x_new = prox(step, y - shift)
+            np.subtract(x_new, y, out=diff)
+            residual = lips * euclidean_norm(diff)
+            if residual <= inner_tol:
+                return x_new, residual
+            np.subtract(x_new, x, out=diff)
+            diff *= momentum
+            np.add(x_new, diff, out=y)
+            x = x_new
+    finally:
+        f.counters["grad"] += k
+        f.counters["g_prox"] += k
     raise BudgetExceeded(
         "prox subproblem: residual %.3e > tol %.3e after %d iterations"
         % (residual, inner_tol, budget),
@@ -65,7 +95,10 @@ def _fista_prox(smooth_grad, lips, mu, g, z0, inner_tol, budget):
 def prox_map(f, nu: float, z, inner_tol: float = 1e-10, budget: int = 2000) -> MoreauPoint:
     """Compute prox_{nu f}(z) together with the envelope value/gradient.
 
-    Requires nu < 1/rho(f) so the subproblem is strongly convex.
+    Requires nu < 1/rho(f) so the subproblem is strongly convex.  An
+    iterative solve (FISTA or prox-linear) stops once its certificate is
+    at most ``inner_tol``; ``proximal_point_run`` passes a tolerance that
+    shrinks with the outer progress, down to its own ``inner_tol``.
     """
     z = np.asarray(z, dtype=float)
     rho = float(getattr(f, "rho", 0.0))
@@ -82,10 +115,7 @@ def prox_map(f, nu: float, z, inner_tol: float = 1e-10, budget: int = 2000) -> M
         p = np.asarray(f.prox(nu, z), dtype=float)
         cert = 0.0
     elif isinstance(f, SmoothPlusProx):
-        lips = f.beta + 1.0 / nu
-        mu = 1.0 / nu - f.rho
-        grad = lambda x: f.grad(x) + (x - z) / nu
-        p, cert = _fista_prox(grad, lips, mu, f.g, z, inner_tol, budget * 100)
+        p, cert = _fista_prox(f, nu, z, inner_tol, budget * 100)
     elif isinstance(f, CompositeProblem):
         p, cert = _prox_composite(f, nu, z, inner_tol, budget)
     else:
@@ -94,13 +124,13 @@ def prox_map(f, nu: float, z, inner_tol: float = 1e-10, budget: int = 2000) -> M
             "smooth-plus-prox bundle, or a composite problem" % type(f)
         )
 
-    env_val = float(f.value(p)) + float((p - z) @ (p - z)) / (2.0 * nu)
-    env_grad = (z - p) / nu
+    value = float(f.value(p))
     return MoreauPoint(
         prox_point=p,
-        envelope_value=env_val,
-        envelope_gradient=env_grad,
+        envelope_value=value + float((p - z) @ (p - z)) / (2.0 * nu),
+        envelope_gradient=(z - p) / nu,
         certificate=float(cert),
+        prox_value=value,
     )
 
 
@@ -146,8 +176,13 @@ def proximal_point_run(
 ) -> SolverReport:
     """Fixed-point iteration on the proximal map with step-size stopping.
 
-    Stops when ||(x_t - x_{t+1}) / nu|| < step_tol, which for proximal
-    point iterates coincides with the Moreau envelope gradient norm at x_t.
+    The stationarity of x_t is ||(x_t - x_{t+1}) / nu||, the Moreau
+    envelope gradient norm at x_t.  Each prox map is solved only as
+    accurately as the outer progress needs: step t asks for the inner
+    tolerance ``max(inner_tol, 0.01 * stat_{t-1})``, step 0 for
+    ``inner_tol``, so ``inner_tol`` is the floor of the schedule.  The run
+    stops on a step with stationarity below ``step_tol`` whose prox map
+    was solved to ``max(inner_tol, 0.01 * step_tol)`` or better.
     Calls are counted on ``f.counters`` from the start of this run, or one
     per iteration for a bundle without counters (a closed-form prox).
     """
@@ -155,14 +190,18 @@ def proximal_point_run(
     report = SolverReport()
     counters = getattr(f, "counters", None)
     start = dict(counters) if counters else None
+    value = f.value(x)
+    stop_tol = max(inner_tol, _INNER_REL * step_tol)
+    tol = inner_tol
     for t in range(max_iters):
-        mp = prox_map(f, nu, x, inner_tol=inner_tol)
-        stat = float(np.linalg.norm(mp.envelope_gradient))
+        mp = prox_map(f, nu, x, inner_tol=tol)
+        stat = euclidean_norm(mp.envelope_gradient)
         evals = sum(calls_since(counters, start).values()) if counters else t + 1
-        report.record(t, x, f.value(x), stat, evals, keep_iterate=True)
-        x = mp.prox_point
-        if stat < step_tol:
+        report.record(t, x, value, stat, evals, keep_iterate=True)
+        x, value = mp.prox_point, mp.prox_value
+        if stat < step_tol and tol <= stop_tol:
             break
+        tol = max(inner_tol, _INNER_REL * stat)
     report.solution = x
     report.oracle_calls = calls_since(counters, start) if counters else {}
     report.validate()

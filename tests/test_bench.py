@@ -105,6 +105,14 @@ class TestConfigParsing:
         ("proximal_point", "inner_tol", "0", "must be > 0, got 0"),
         ("pgsg", "envelope_inner_tol", "0", "must be > 0, got 0"),
         ("catalyst-gd", "kappa", "-1", "must be >= 0, got -1"),
+        ("proxlinear", "beta", "inf", "must be a finite number, got inf"),
+        ("catalyst-gd", "kappa", "inf", "must be a finite number, got inf"),
+        ("proxlinear", "stat_tol", "-1", "must be >= 0, got -1"),
+        ("proxlinear", "stat_tol", "nan", "must be a finite number, got nan"),
+        ("proximal_point", "step_tol", "-1e-8", "must be >= 0, got -1e-08"),
+        ("proximal_point", "inner_tol", "inf", "must be a finite number, got inf"),
+        ("gd", "eps", "0", "must be > 0, got 0"),
+        ("catalyst-svrg", "eps", "-1e-7", "must be > 0, got -1e-07"),
     ])
     def test_out_of_range_solver_value_rejected(self, solver, key, value, message):
         text = ("problem.name = lasso\nproblem.d = 5\nproblem.m = 10\n"
@@ -388,6 +396,15 @@ class TestCli:
         out = tmp_path / "o"
         assert cli_main(["run", str(p), "--out", str(out)]) == 2
         assert ("line 6: solver.outer_iters must be a positive integer, got 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_infinite_solver_value_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "inf.cfg"
+        p.write_text(LASSO_CFG + "solver.beta = inf\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", str(p), "--out", str(out)]) == 2
+        assert ("line 8: solver.beta must be a finite number, got inf"
                 in capsys.readouterr().err)
         assert not out.exists()
 

@@ -339,6 +339,14 @@ def test_back_to_back_runs_of_other_solvers_report_equal_counts(setup):
     assert reps[0].evals_history[-1] <= sum(reps[0].oracle_calls.values())
 
 
+def test_proximal_point_counts_fista_prox_steps():
+    # every FISTA step makes one gradient and one g prox, and both are
+    # counted, as proxlinear_step counts its prox
+    _, run = _lasso_proximal_point()
+    calls = run().oracle_calls
+    assert calls["g_prox"] == calls["grad"] > 0
+
+
 def _run_epochs(run, prob, kappa, center, warm, epochs=1):
     """The anchor ``epochs`` epochs after ``warm``, from fixed draws: the
     budget runs out at the next anchor, which BudgetExceeded carries."""

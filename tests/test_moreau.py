@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from proxkit import (
+    BudgetExceeded,
     CompositeProblem,
     L1Norm,
     NonconvexSubproblem,
@@ -12,9 +13,12 @@ from proxkit import (
     SmoothPlusProx,
     SquaredL2,
     Zero,
+    make_lasso,
+    make_phase_retrieval,
     prox_map,
     proximal_point_run,
 )
+from proxkit import moreau
 from proxkit.core import finite_difference_gradient
 
 
@@ -124,6 +128,75 @@ class TestCompositeProx:
         assert f.counters["grad"] > 0
 
 
+def textbook_fista(smooth_grad, lips, mu, g, z0, inner_tol, budget):
+    """The FISTA prox loop written plainly, the reference the fused loop
+    in ``moreau._fista_prox`` must match bit for bit."""
+    x = np.asarray(z0, dtype=float).copy()
+    y = x.copy()
+    sq = np.sqrt(mu / lips)
+    momentum = (1.0 - sq) / (1.0 + sq)
+    residual = np.inf
+    for k in range(budget):
+        grad = smooth_grad(y)
+        x_new = g.prox(1.0 / lips, y - grad / lips)
+        residual = lips * np.linalg.norm(x_new - y)
+        if residual <= inner_tol:
+            return x_new, float(residual), k + 1
+        y = x_new + momentum * (x_new - x)
+        x = x_new
+    raise BudgetExceeded("budget", best_point=x, achieved=float(residual))
+
+
+def identity_gradient_bundle():
+    # its gradient returns its argument: a loop that wrote into the
+    # gradient would overwrite its own iterate.  beta is above the true 1,
+    # so FISTA does not land on the solution in one step.
+    return SmoothPlusProx(smooth_value=lambda x: 0.5 * float(x @ x),
+                          smooth_grad=lambda x: x, beta=2.0, g=L1Norm(0.2), dim=3)
+
+
+class TestFusedFista:
+    CASES = [
+        (lambda: make_lasso(d=10, m=25, lam=0.1, seed=3).problem, 10),
+        (lambda: make_lasso(d=50, m=100, lam=0.1, seed=1).problem, 50),
+        (identity_gradient_bundle, 3),
+    ]
+
+    def _reference(self, f, nu, z, tol, budget):
+        return textbook_fista(lambda x: f.smooth_grad(x) + (x - z) / nu,
+                              f.beta + 1.0 / nu, 1.0 / nu - f.rho, f.g, z, tol, budget)
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("tol", [1e-3, 1e-10])
+    def test_bit_identical_to_textbook_loop(self, case, tol):
+        make, d = self.CASES[case]
+        f = make()
+        nu = 1.0 / (2.0 * f.beta)
+        z = RandomStream(70 + case).normal(d)
+        z_before = z.copy()
+        x_ref, res_ref, steps = self._reference(f, nu, z, tol, 200_000)
+        x, res = moreau._fista_prox(f, nu, z, tol, 200_000)
+        assert x.tobytes() == x_ref.tobytes()
+        assert res == res_ref
+        assert z.tobytes() == z_before.tobytes()
+        # one gradient and one prox step per FISTA step
+        assert f.counters["grad"] == f.counters["g_prox"] == steps
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_budget_exhausted_raise_matches(self, case):
+        make, d = self.CASES[case]
+        f = make()
+        nu = 1.0 / (2.0 * f.beta)
+        z = RandomStream(80 + case).normal(d)
+        with pytest.raises(BudgetExceeded) as ref:
+            self._reference(f, nu, z, 1e-14, 3)
+        with pytest.raises(BudgetExceeded) as err:
+            moreau._fista_prox(f, nu, z, 1e-14, 3)
+        assert err.value.best_point.tobytes() == ref.value.best_point.tobytes()
+        assert err.value.achieved == ref.value.achieved
+        assert f.counters["grad"] == f.counters["g_prox"] == 3
+
+
 class TestProximalPoint:
     def test_geometric_halving_on_quadratic(self):
         # [DERIVED] for f = 0.5||x||^2 and nu = 1: x_{t+1} = x_t / 2
@@ -140,3 +213,52 @@ class TestProximalPoint:
     def test_nonsmooth_reaches_kink(self):
         rep = proximal_point_run(L1Norm(1.0), 0.5, np.array([1.6]), max_iters=10)
         assert abs(rep.solution[0]) < 1e-12
+
+    def test_one_objective_pass_per_step(self):
+        # each step's prox map evaluates f at the next iterate, which the
+        # next row records: only x0 is evaluated on its own
+        f = make_lasso(d=10, m=25, lam=0.1, seed=3).problem
+        rep = proximal_point_run(f, 1.0 / (2.0 * f.beta), np.ones(10), max_iters=5)
+        assert rep.oracle_calls["value"] == 1 + 5
+        f2 = make_lasso(d=10, m=25, lam=0.1, seed=3).problem
+        assert [f2.value(x) for x in rep.iterates] == rep.objective_history
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_converged_only_when_resolved_gradient_is_below_step_tol(
+            self, seed, monkeypatch):
+        # the recorded stationarity comes from a prox map solved loosely;
+        # the step that stops the run must have been solved to 1% of
+        # step_tol, and still be stationary when re-solved to 1e-12
+        tols = []
+
+        def recording_prox_map(f, nu, z, inner_tol):
+            tols.append(inner_tol)
+            return prox_map(f, nu, z, inner_tol=inner_tol)
+
+        monkeypatch.setattr(moreau, "prox_map", recording_prox_map)
+        f = make_lasso(d=50, m=100, lam=0.1, seed=seed).problem
+        nu, step_tol = 1.0 / (2.0 * f.beta), 1e-8
+        rep = proximal_point_run(f, nu, np.zeros(50), max_iters=2000,
+                                 step_tol=step_tol)
+        assert len(rep.iterates) < 2000  # converged, not out of budget
+        stats = rep.stationarity_history
+        assert tols == [1e-10] + [max(1e-10, 0.01 * s) for s in stats[:-1]]
+        assert tols[-1] <= 0.01 * step_tol
+        mp = prox_map(f, nu, rep.iterates[-1], inner_tol=1e-12)
+        assert np.linalg.norm(mp.envelope_gradient) < step_tol
+
+    def test_tolerance_rule_reaches_composite_branch(self, monkeypatch):
+        # the prox-linear prox maps of a composite follow the schedule too:
+        # fewer Jacobian products than every prox map solved to inner_tol,
+        # and both runs stop below step_tol
+        def run():
+            prob = make_phase_retrieval(d=4, m=24, seed=3).problem
+            rep = proximal_point_run(prob, 1.0 / (2.0 * prob.rho), np.ones(4),
+                                     max_iters=500, step_tol=1e-6)
+            assert len(rep.iterates) < 500
+            assert rep.stationarity_history[-1] < 1e-6
+            return rep.oracle_calls["c_jvp"]
+
+        scheduled = run()
+        monkeypatch.setattr(moreau, "_INNER_REL", 0.0)  # tol_t = inner_tol
+        assert scheduled < run() / 2
