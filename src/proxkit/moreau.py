@@ -136,7 +136,7 @@ def prox_map(f, nu: float, z, inner_tol: float = 1e-10, budget: int = 2000) -> M
 
 def _prox_composite(f: CompositeProblem, nu, z, inner_tol, budget):
     """Prox of a general composite via prox-linear on the shifted problem."""
-    from .proxlinear import proxlinear_step
+    from .proxlinear import _GAP_FLOOR, proxlinear_step
 
     shifted = CompositeProblem(ShiftedQuadraticProx(f.g, nu, z), f.h, f.c)
     shifted.counters = f.counters  # the shifted problem's oracle calls are f's
@@ -145,7 +145,7 @@ def _prox_composite(f: CompositeProblem, nu, z, inner_tol, budget):
     dual = None
     # gap such that the surrogate measurement error sqrt(2 gap beta)
     # stays an order of magnitude below the target residual
-    gap_floor = max(1e-16, 5e-3 * inner_tol**2 / beta)
+    gap_floor = max(_GAP_FLOOR, 5e-3 * inner_tol**2 / beta)
     gap_tol = max(gap_floor, 1e-8)
     best = (x, np.inf)
     for _ in range(budget):
@@ -182,7 +182,7 @@ def proximal_point_run(
     tolerance ``max(inner_tol, 0.01 * stat_{t-1})``, step 0 for
     ``inner_tol``, so ``inner_tol`` is the floor of the schedule.  The run
     stops on a step with stationarity below ``step_tol`` whose prox map
-    was solved to ``max(inner_tol, 0.01 * step_tol)`` or better.
+    certified ``max(inner_tol, 0.01 * step_tol)`` or better.
     Calls are counted on ``f.counters`` from the start of this run, or one
     per iteration for a bundle without counters (a closed-form prox).
     """
@@ -199,7 +199,7 @@ def proximal_point_run(
         evals = sum(calls_since(counters, start).values()) if counters else t + 1
         report.record(t, x, value, stat, evals, keep_iterate=True)
         x, value = mp.prox_point, mp.prox_value
-        if stat < step_tol and tol <= stop_tol:
+        if stat < step_tol and mp.certificate <= stop_tol:
             break
         tol = max(inner_tol, _INNER_REL * stat)
     report.solution = x

@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .catalyst import FiniteSumProblem
-from .core import operator_norm
 from .oracles import (
     BoxIndicator,
     CompositeProblem,
@@ -42,11 +41,6 @@ class SyntheticInstance:
     stochastic: Optional[StochasticProblem] = None
 
 
-def _spectral_norm(A: np.ndarray) -> float:
-    """Power-iteration estimate of sigma_max(A), from below."""
-    return operator_norm(lambda v: A @ v, lambda u: A.T @ u, A.shape[1], iters=50)
-
-
 def make_phase_retrieval(d: int, m: int, outlier_frac: float = 0.0,
                          seed: int = 0) -> SyntheticInstance:
     """Robust real phase retrieval: (1/m) sum |<a_i, x>^2 - b_i^2|.
@@ -67,8 +61,9 @@ def make_phase_retrieval(d: int, m: int, outlier_frac: float = 0.0,
         b[idx] = np.abs(rng.normal(n_out))
     b2 = b * b
 
-    sigma = _spectral_norm(A)
-    beta = 1.1 * 2.0 * sigma * sigma / m  # Gauss-Newton operator bound
+    # the model error (1/m)||A(y - x)||^2 <= (beta/2)||y - x||^2, with
+    # equality along A's top right singular vector
+    beta = 2.0 * float(np.linalg.norm(A, 2)) ** 2 / m
 
     At = A.T
 

@@ -4,11 +4,25 @@ Each step minimizes the local convex model
 
     g(x) + h(c(y) + J(y)(x - y)) + (beta/2) ||x - x_t||^2
 
-to a certified primal-dual gap.  The subproblem is solved by an
-accelerated Chambolle-Pock primal-dual iteration that only touches the
-Jacobian through jvp/vjp products.  For an additive composite s + g (a
-``SmoothPlusProx``, i.e. h the identity) the model is s linearized plus
-g, and the step collapses to the closed-form proximal-gradient step.
+to a certified primal-dual gap.  The subproblem is solved by the
+accelerated primal-dual method with linesearch of Malitsky & Pock,
+"A first-order primal-dual algorithm with linesearch" (arXiv 1608.08883),
+which only touches the Jacobian K through jvp/vjp products and picks its
+own step sizes.  With G = g + (beta/2)||. - x_t||^2 (beta-strongly
+convex), r = sigma/tau and theta = r = 1 at the start, one iteration is
+
+    x+     = prox_{tau G}(x - tau K^T u)
+    r+     = r (1 + beta tau),   tau+ = tau sqrt(r/r+) (1 + theta)^(1/4)
+    repeat theta+ = tau+/tau,  sigma = r+ tau+,
+           u+ = proj_{dom h*}(u + sigma (K x+ + e + theta+ (K x+ - K x)))
+    until  r+ tau+^2 ||K^T u+ - K^T u||^2 <= 0.99^2 ||u+ - u||^2,
+           shrinking tau+ by 0.7 on each failed trial,
+
+where e = c(x_t) - K x_t.  No estimate of ||K|| is needed.
+
+For an additive composite s + g (a ``SmoothPlusProx``, i.e. h the
+identity) the model is s linearized plus g, and the step collapses to
+the closed-form proximal-gradient step.
 
 The scaled step beta * (x_{t+1} - x_t) is reported as the stationarity
 surrogate; its norm is comparable (within fixed constant factors) to the
@@ -23,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import operator_norm
 from .errors import BudgetExceeded
-from .oracles import CompositeProblem, SmoothPlusProx
+from .oracles import CompositeProblem, SmoothPlusProx, euclidean_norm
 from .report import SolverReport, calls_since
 
 # Gap asked of the first subproblem under the tolerance schedule.  The
@@ -40,10 +53,10 @@ _FIRST_INNER_TOL = 1e-6
 # so a smaller request only ends on PDHG's stall exit.
 _GAP_FLOOR = 16 * np.finfo(float).eps
 
-# Twenty power-iteration steps fell up to 8.5% short of ||K|| on robust
-# PCA Jacobians at random points (10 instances, 300 points); 1.2 leaves a
-# margin over that.
-_NORM_SAFETY = 1.2
+# PDHG linesearch: a trial step is accepted when r tau^2 ||K^T du||^2 <=
+# delta^2 ||du||^2 with delta = 0.99, and otherwise shrunk by 0.7.
+_DELTA_SQ = 0.99 * 0.99
+_BACKTRACK = 0.7
 
 # PDHG iterations between duality-gap checks.
 _CHECK_EVERY = 25
@@ -67,17 +80,6 @@ def model_value(problem: CompositeProblem, y, x) -> float:
     return problem.g.value(x) + problem.h.value(lin)
 
 
-def _pdhg_step(K, Kt, dim: int) -> float:
-    """Common initial primal and dual step tau = sigma of the PDHG solver.
-
-    Power iteration approaches ||K|| from below, so its estimate is
-    inflated by ``_NORM_SAFETY`` to keep Chambolle & Pock's step condition
-    tau * sigma * ||K||^2 <= 1.
-    """
-    knorm = operator_norm(K, Kt, dim, iters=20)
-    return 1.0 / max(_NORM_SAFETY * knorm, 1e-12)
-
-
 def _solve_model_subproblem(
     problem: CompositeProblem,
     x_t: np.ndarray,
@@ -86,51 +88,36 @@ def _solve_model_subproblem(
     max_iters: int = 200_000,
     warm_dual: np.ndarray | None = None,
 ):
-    """Accelerated PDHG for min_x g(x) + h(Kx + e) + (beta/2)||x - x_t||^2.
+    """Accelerated primal-dual linesearch (Malitsky & Pock, arXiv
+    1608.08883) for min_x g(x) + h(Kx + e) + (beta/2)||x - x_t||^2.
 
     K is the Jacobian of c at x_t and e = c(x_t) - K x_t.  Returns
     (x, dual, gap).  The dual feasible set is dom h*, reached through
     h.dual_project, so the dual objective never involves h* explicitly.
+    The update rules are in the module docstring.  The first tau is
+    1/sqrt(||K^T K v||) >= 1/||K|| for the normalized ones vector v,
+    which the linesearch then corrects.  K x and K^T u are cached, so the
+    gap checked every ``_CHECK_EVERY`` iterations costs no products, and
+    ``max_iters`` counts iterations, not linesearch trials.
 
-    Each iteration is the textbook accelerated Chambolle-Pock update bit
-    for bit (tests/test_proxlinear.py keeps that loop as the reference):
-    every floating-point operation keeps its operands, and an in-place
-    update only swaps the operands of a commutative one.  The loop writes
-    into its own buffers only, never into an array an oracle returned
-    (c's products, g.prox, h.dual_project) or will return.  Its Jacobian
-    products are tallied locally and added to ``problem.counters`` once,
-    on whichever exit the solve takes.
+    Each iteration is the textbook update of tests/test_proxlinear.py bit
+    for bit: every floating-point operation keeps its operands, and an
+    in-place update only swaps the operands of a commutative one.  The
+    loop writes into its own buffers only, never into an array an oracle
+    returned (c's products, g.prox, h.dual_project) or will return.  Its
+    Jacobian products are tallied locally and added to
+    ``problem.counters`` once, on whichever exit the solve takes.
     """
     g, h, c = problem.g, problem.h, problem.c
     x_t = np.asarray(x_t, dtype=float)
-    jvps = vjps = k = 0
+    jvps = vjps = 0
 
-    def fwd(v):  # counted product, for everything outside the main loop
-        nonlocal jvps
-        jvps += 1
-        return K(v)
-
-    def adj(u):
-        nonlocal vjps
-        vjps += 1
-        return Kt(u)
-
-    def primal_value(xv):
-        return (
-            g.value(xv)
-            + h.value(fwd(xv) + e)
-            + 0.5 * beta * float((xv - x_t) @ (xv - x_t))
-        )
-
-    def dual_value(uv):
-        q = adj(uv)
+    def duality_gap(xv, Kxe, uv, q):  # Kxe = K xv + e and q = K^T uv
         xhat = g.prox(1.0 / beta, x_t - q / beta)
-        return (
-            float(uv @ e)
-            + g.value(xhat)
-            + float(q @ xhat)
-            + 0.5 * beta * float((xhat - x_t) @ (xhat - x_t))
-        )
+        primal = g.value(xv) + h.value(Kxe) + 0.5 * beta * float((xv - x_t) @ (xv - x_t))
+        dual = (float(uv @ e) + g.value(xhat) + float(q @ xhat)
+                + 0.5 * beta * float((xhat - x_t) @ (xhat - x_t)))
+        return primal - dual
 
     try:
         if c.linearize is not None:
@@ -139,51 +126,66 @@ def _solve_model_subproblem(
             c0 = c.eval(x_t)
             K = functools.partial(c.jvp, x_t)
             Kt = functools.partial(c.vjp, x_t)
-        e = c0 - fwd(x_t)
-
+        Kx = K(x_t)
+        e = c0 - Kx
         x = x_t.copy()
-        xbar = x.copy()
-        v = np.empty_like(x)
-        if warm_dual is None:
-            u = h.dual_project(np.zeros(c0.size))
-        else:
-            u = warm_dual.copy()
+        u = h.dual_project(np.zeros(c0.size)) if warm_dual is None else warm_dual.copy()
+        Ktu = Kt(u)
+        # first step from one product pair: ||K^T K v|| <= ||K||^2
+        ones = np.full(x_t.size, 1.0 / math.sqrt(x_t.size))
+        tau = 1.0 / max(math.sqrt(euclidean_norm(Kt(K(ones)))), 1e-12)
+        jvps, vjps = 2, 2
 
-        tau = sigma = _pdhg_step(fwd, adj, x_t.size)
-        gamma = beta  # strong convexity carried by the quadratic penalty
+        theta = r = 1.0
+        v, dq = np.empty_like(x), np.empty_like(x)
+        Kxe, dKx, du = np.empty_like(e), np.empty_like(e), np.empty_like(e)  # Kxe = K x + e
 
         best_x, best_gap = x.copy(), np.inf
         stagnant = 0
         last_improve = 0
         x_prev_check = x.copy()
         for k in range(1, max_iters + 1):
-            # u = dual_project(u + sigma * (K xbar + e)); w is fresh, as
-            # dual_project may return its argument
-            w = np.add(K(xbar), e)
-            w *= sigma
-            w += u
-            u = h.dual_project(w)
-            # v = x - tau * K^T u
-            np.multiply(Kt(u), tau, out=v)
+            # x_new = prox(tau * scale, (x - tau * K^T u + tau * beta * x_t)
+            # * scale); z is fresh, as g.prox may return its argument
+            np.multiply(Ktu, tau, out=v)
             np.subtract(x, v, out=v)
-            # x_new = prox(tau * scale, (v + tau * beta * x_t) * scale); z
-            # is fresh, as g.prox may return its argument
             scale = 1.0 / (1.0 + tau * beta)
             z = np.multiply(x_t, tau * beta)
             z += v
             z *= scale
             x_new = g.prox(tau * scale, z)
-            theta = 1.0 / math.sqrt(1.0 + 2.0 * gamma * tau)
-            tau *= theta
-            sigma /= theta
-            # xbar = x_new + theta * (x_new - x)
-            np.subtract(x_new, x, out=xbar)
-            xbar *= theta
-            xbar += x_new
-            x = x_new
+            Kx_new = K(x_new)
+            jvps += 1
+            np.add(Kx_new, e, out=Kxe)
+            np.subtract(Kx_new, Kx, out=dKx)
+
+            # theta_new = tau_new / tau, never divided: an infinite product gives tau = 0
+            r_new = r * (1.0 + beta * tau)
+            theta_new = math.sqrt(r / r_new) * (1.0 + theta) ** 0.25
+            while True:
+                tau_new = tau * theta_new
+                sigma = r_new * tau_new
+                # u_new = dual_project(u + sigma * (K x_new + e + theta_new
+                # * (K x_new - K x))); w is fresh, as dual_project may
+                # return its argument
+                w = np.multiply(dKx, theta_new)
+                w += Kxe
+                w *= sigma
+                w += u
+                u_new = h.dual_project(w)
+                Ktu_new = Kt(u_new)
+                vjps += 1
+                np.subtract(Ktu_new, Ktu, out=dq)
+                np.subtract(u_new, u, out=du)
+                # a NaN product is accepted, so the gap checks end the solve
+                if not r_new * tau_new * tau_new * float(dq @ dq) > _DELTA_SQ * float(du @ du):
+                    break
+                theta_new *= _BACKTRACK
+            x, Kx, u, Ktu = x_new, Kx_new, u_new, Ktu_new
+            tau, theta, r = tau_new, theta_new, r_new
 
             if k % _CHECK_EVERY == 0 or k == max_iters:
-                gap = primal_value(x) - dual_value(u)
+                gap = duality_gap(x, Kxe, u, Ktu)
                 if gap < 0.75 * best_gap:
                     last_improve = k
                 if gap < best_gap:
@@ -210,10 +212,9 @@ def _solve_model_subproblem(
             achieved=best_gap,
         )
     finally:
-        # the main loop makes one product of each kind per iteration
         problem.counters["c_eval"] += 1
-        problem.counters["c_jvp"] += jvps + k
-        problem.counters["c_vjp"] += vjps + k
+        problem.counters["c_jvp"] += jvps
+        problem.counters["c_vjp"] += vjps
 
 
 def proxlinear_step(

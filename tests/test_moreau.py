@@ -210,6 +210,16 @@ class TestProximalPoint:
         assert len(rep.iteration_index) < 50
         assert rep.stationarity_history[-1] < 2e-3
 
+    def test_stops_on_the_first_step_below_step_tol_when_solved_exactly(self):
+        # [DERIVED] the stationarity of row t is 4 / 2^t, first below 1e-3
+        # at t = 12; the closed-form prox certifies 0, so that row stops
+        # the run although it asked for a tolerance above the stop's
+        rep = proximal_point_run(
+            SquaredL2(1.0), 1.0, np.array([8.0]), max_iters=50, step_tol=1e-3
+        )
+        assert len(rep.iteration_index) == 13
+        assert rep.stationarity_history[-1] == 4.0 / 2.0**12
+
     def test_nonsmooth_reaches_kink(self):
         rep = proximal_point_run(L1Norm(1.0), 0.5, np.array([1.6]), max_iters=10)
         assert abs(rep.solution[0]) < 1e-12
@@ -227,13 +237,15 @@ class TestProximalPoint:
     def test_converged_only_when_resolved_gradient_is_below_step_tol(
             self, seed, monkeypatch):
         # the recorded stationarity comes from a prox map solved loosely;
-        # the step that stops the run must have been solved to 1% of
-        # step_tol, and still be stationary when re-solved to 1e-12
-        tols = []
+        # the step that stops the run must have certified 1% of step_tol,
+        # and still be stationary when re-solved to 1e-12
+        tols, certs = [], []
 
         def recording_prox_map(f, nu, z, inner_tol):
             tols.append(inner_tol)
-            return prox_map(f, nu, z, inner_tol=inner_tol)
+            mp = prox_map(f, nu, z, inner_tol=inner_tol)
+            certs.append(mp.certificate)
+            return mp
 
         monkeypatch.setattr(moreau, "prox_map", recording_prox_map)
         f = make_lasso(d=50, m=100, lam=0.1, seed=seed).problem
@@ -243,7 +255,10 @@ class TestProximalPoint:
         assert len(rep.iterates) < 2000  # converged, not out of budget
         stats = rep.stationarity_history
         assert tols == [1e-10] + [max(1e-10, 0.01 * s) for s in stats[:-1]]
-        assert tols[-1] <= 0.01 * step_tol
+        assert certs[-1] <= 0.01 * step_tol
+        # no earlier step below step_tol had certified as much
+        assert not any(s < step_tol and c <= 0.01 * step_tol
+                       for s, c in zip(stats[:-1], certs[:-1]))
         mp = prox_map(f, nu, rep.iterates[-1], inner_tol=1e-12)
         assert np.linalg.norm(mp.envelope_gradient) < step_tol
 

@@ -22,6 +22,7 @@ from proxkit import (
     make_ridge,
     make_robust_pca,
     make_z2_sync,
+    model_value,
     save_instance,
 )
 from proxkit.core import finite_difference_gradient
@@ -98,6 +99,28 @@ class TestStructuralInvariants:
         # the products are the same arithmetic, so they agree bit for bit
         assert np.array_equal(K(v), c.jvp(x, v))
         assert np.array_equal(Kt(np.ones(30)), c.vjp(x, np.ones(30)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_phase_retrieval_beta_bounds_the_model_error(self, seed):
+        # [DERIVED] F(y) - model_x(y) <= (1/m)||A(y - x)||^2, which is
+        # (L beta/2)||y - x||^2 when y - x lies along A's top right
+        # singular vector v.  At x = t v with every linearized residual
+        # nonnegative the first inequality is an equality too, so an
+        # inflated beta fails the second assertion.
+        inst = make_phase_retrieval(d=20, m=160, outlier_frac=0.1, seed=seed)
+        prob, A, b = inst.problem, inst.arrays["A"], inst.arrays["b"]
+        v = np.linalg.svd(A)[2][0]
+        t = 2.0 * np.max(b / np.abs(A @ v))
+        for x, tight in ((RandomStream(seed, stream_id=110).normal(20), False),
+                         (t * v, True)):
+            for step in (1e-2, 1.0, 10.0):
+                y = x + step * v
+                err = prob.value(y) - model_value(prob, x, y)
+                bound = 0.5 * prob.L * prob.beta * step * step
+                slack = 1e-12 * (abs(prob.value(y)) + bound)
+                assert err <= bound + slack
+                if tight:
+                    assert err >= bound - slack
 
     def test_lasso_beta_bounds_the_gradient_lipschitz_constant(self):
         # a step 1/beta must not exceed 1/||A||_2^2
