@@ -5,7 +5,9 @@ solving the convex model obtained from linearizing c, plus a proximal
 quadratic.  On sharp problems (noiseless phase retrieval is sharp around
 the signal) the iterates converge quadratically once inside the basin of
 attraction, provided the subproblems are solved accurately enough.  The
-adaptive inner tolerance in ``proxlinear_run`` asks only 1e-6 of the
+table shows this through the surrogate norm ||G|| of each step; the run
+keeps only its final point, whose distance to the signal is printed last.
+The adaptive inner tolerance in ``proxlinear_run`` asks only 1e-6 of the
 first subproblem and then tightens the certified gap with the fourth
 power of the last step length, which preserves that rate while sparing
 the far-from-solution steps; ``inner_tol`` is the gap the stopping step
@@ -34,11 +36,13 @@ x0 = xbar + 0.1 * np.linalg.norm(xbar) * direction / np.linalg.norm(direction)
 
 rep = proxlinear_run(prob, x0, outer_iters=12, stat_tol=1e-13, inner_tol=1e-12)
 
-print("\n iter   objective        surrogate ||G||   dist to +/- xbar")
-for t, obj, stat, x in zip(rep.iteration_index, rep.objective_history,
-                           rep.stationarity_history, rep.iterates):
-    dist = min(np.linalg.norm(x - xbar), np.linalg.norm(x + xbar))
-    print(" %4d   %13.6e   %13.6e   %13.6e" % (t, obj, stat, dist))
+print("\n iter   objective        surrogate ||G||")
+for t, obj, stat in zip(rep.iteration_index, rep.objective_history,
+                        rep.stationarity_history):
+    print(" %4d   %13.6e   %13.6e" % (t, obj, stat))
+x = rep.solution
+print("final dist to +/- xbar: %.6e"
+      % min(np.linalg.norm(x - xbar), np.linalg.norm(x + xbar)))
 
 rate = estimate_local_rate(rep.stationarity_history)
 print("\nestimated local rate:", rate.kind)

@@ -142,8 +142,12 @@ _SOLVERS = {
                        _keyword_params(proximal_point_run, nu=None)),
     "pgsg": (_run_pgsg, _keyword_params(pgsg_run, outer_iters=200)),
 }
-for _n in ("gd", "prox_gd", "svrg"):
-    _SOLVERS[_n] = (_finite_sum_runner(_n), _keyword_params(catalyst_run))
+# a plain finite-sum arm runs its inner method once (kappa = 0), so it has
+# no outer loop for ``outer_iters`` to bound
+_PLAIN = _keyword_params(catalyst_run)
+del _PLAIN["outer_iters"]
+for _n in ("gd", "svrg"):
+    _SOLVERS[_n] = (_finite_sum_runner(_n), _PLAIN)
     _SOLVERS["catalyst-" + _n] = (_finite_sum_runner(_n),
                                   _keyword_params(catalyst_run, kappa=None))
 
@@ -208,13 +212,14 @@ _RANGES = {
     ("erm_logistic", "mu"): _POSITIVE,
     ("proxlinear", "beta"): _POSITIVE,
     ("proxlinear", "stat_tol"): _NON_NEGATIVE,
+    ("proxlinear", "inner_tol"): _POSITIVE,
     ("proximal_point", "nu"): _POSITIVE,
     ("proximal_point", "step_tol"): _NON_NEGATIVE,
     ("proximal_point", "inner_tol"): _POSITIVE,
     ("pgsg", "envelope_inner_tol"): _POSITIVE,
     ("run", "target_gap"): _POSITIVE,
 }
-for _n in ("gd", "prox_gd", "svrg"):
+for _n in ("gd", "svrg"):
     _RANGES[("catalyst-" + _n, "kappa")] = _NON_NEGATIVE
     _RANGES[(_n, "eps")] = _RANGES[("catalyst-" + _n, "eps")] = _POSITIVE
 

@@ -238,7 +238,6 @@ def _tau_svrg(problem: FiniteSumProblem, kappa: float) -> float:
 def inner_method(name: str) -> InnerMethod:
     table = {
         "gd": InnerMethod("gd", prox_gd_run, _tau_gd),
-        "prox_gd": InnerMethod("prox_gd", prox_gd_run, _tau_gd),
         "svrg": InnerMethod("svrg", svrg_run, _tau_svrg),
     }
     if name not in table:
@@ -256,7 +255,7 @@ def acceleration_ratio(problem: FiniteSumProblem, kappa: float, inner_name: str)
 def choose_kappa(problem: FiniteSumProblem, inner_name: str) -> float:
     """Closed-form kappa for each shipped tau model.
 
-    For gd/prox_gd it is the minimizer of the acceleration ratio,
+    For gd it is the minimizer of the acceleration ratio,
     kappa = beta - 2 mu (floored near 0).  For svrg it is
     (beta - mu) / (m + 1), which makes the subproblem condition number
     about m: that is the ratio's minimizing value of mu + kappa, so kappa
@@ -265,7 +264,7 @@ def choose_kappa(problem: FiniteSumProblem, inner_name: str) -> float:
     acceleration cannot help there.
     """
     mu, beta, m = problem.mu, problem.beta_i, problem.m
-    if inner_name in ("gd", "prox_gd"):
+    if inner_name == "gd":
         return max(beta - 2.0 * mu, 0.0) + 1e-12 * beta
     if inner_name == "svrg":
         if m >= beta / mu:
@@ -312,10 +311,9 @@ def catalyst_run(
         sub = Subproblem(problem, 0.0, x.copy())
         sol, _, _ = inner.run(sub, x, eps, inner_budget, rng=rng, trace=trace)
         for t, (evals, val) in enumerate(trace):
-            report.record(t, None, val, np.nan, evals - start["grad_i"])
+            report.record(t, val, np.nan, evals - start["grad_i"])
         report.solution = sol
         report.oracle_calls = calls_since(problem.counters, start)
-        report.validate()
         return report
 
     mu = problem.mu
@@ -346,7 +344,7 @@ def catalyst_run(
         # outer gradient from the subproblem gradient, no extra evals
         grad = sub_grad - kappa * (x_new - sub.center)
         outer_bound = _certified_bound(Subproblem(problem, 0.0, x_new), x_new, grad)
-        report.record(t, x_new, problem.value(x_new),
+        report.record(t, problem.value(x_new),
                       float(np.linalg.norm(grad)),
                       calls_since(problem.counters, start)["grad_i"])
         if outer_bound <= eps:
@@ -354,5 +352,4 @@ def catalyst_run(
 
     report.solution = x_prev
     report.oracle_calls = calls_since(problem.counters, start)
-    report.validate()
     return report

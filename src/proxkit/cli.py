@@ -1,8 +1,8 @@
 """Command-line entry point: ``proxkit run <config> [--out DIR] [--jobs N]``.
 
-Exit codes: 0 success, 2 invalid config or PROXKIT_SEED_OFFSET, 3 a run
-raised, whatever the exception (partial outputs retained, failures listed
-in the MANIFEST).
+Exit codes: 0 success, 2 invalid or unreadable config, invalid
+PROXKIT_SEED_OFFSET or unwritable --out, 3 a run raised, whatever the
+exception (partial outputs retained, failures listed in the MANIFEST).
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-    except FileNotFoundError:
-        print("error: config file not found: %s" % args.config, file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print("error: cannot read config %s: %s"
+              % (args.config, getattr(exc, "strerror", None) or exc), file=sys.stderr)
         return 2
     except ConfigError as exc:
         print("error: %s: %s" % (args.config, exc), file=sys.stderr)
@@ -57,6 +58,10 @@ def main(argv=None) -> int:
         manifest = run_experiment(config, args.out, jobs=args.jobs)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print("error: cannot write to --out %s: %s"
+              % (args.out, exc.strerror or exc), file=sys.stderr)
         return 2
     if manifest["failures"]:
         for fail in manifest["failures"]:

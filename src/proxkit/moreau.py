@@ -197,12 +197,11 @@ def proximal_point_run(
         mp = prox_map(f, nu, x, inner_tol=tol)
         stat = euclidean_norm(mp.envelope_gradient)
         evals = sum(calls_since(counters, start).values()) if counters else t + 1
-        report.record(t, x, value, stat, evals, keep_iterate=True)
+        report.record(t, value, stat, evals)
         x, value = mp.prox_point, mp.prox_value
         if stat < step_tol and mp.certificate <= stop_tol:
             break
         tol = max(inner_tol, _INNER_REL * stat)
     report.solution = x
     report.oracle_calls = calls_since(counters, start) if counters else {}
-    report.validate()
     return report

@@ -196,7 +196,7 @@ def pgsg_run(
             _replay(args)
         x_new = acc / j_t
         if (t + 1) % stat_every == 0 or t == 0 or t == outer_iters - 1:
-            report.record(t + 1, x_new, objective(x_new), stationarity(x_new, x),
+            report.record(t + 1, objective(x_new), stationarity(x_new, x),
                           calls_since(counters, start)["stoch_subgrad"])
         x = x_new
         visited.append(x.copy())
@@ -205,5 +205,4 @@ def pgsg_run(
     pick = int(rng.integers(1, outer_iters + 1))
     report.solution = visited[pick]
     report.oracle_calls = calls_since(counters, start)
-    report.validate()
     return report

@@ -285,7 +285,7 @@ def proxlinear_run(
             problem, x, beta, inner_tol=gap_tol, warm_dual=dual
         )
         evals = sum(calls_since(problem.counters, start).values())
-        report.record(t, x, problem.value(x), surr.norm, evals, keep_iterate=True)
+        report.record(t, problem.value(x), surr.norm, evals)
         x = x_next
         if surr.norm <= stat_tol and surr.gap <= inner_tol:
             break
@@ -294,7 +294,6 @@ def proxlinear_run(
 
     report.solution = x
     report.oracle_calls = calls_since(problem.counters, start)
-    report.validate()
     return report
 
 

@@ -17,14 +17,13 @@ def calls_since(counters: dict, start: dict) -> dict:
 
 @dataclass
 class SolverReport:
-    """Iterate and stationarity history of a single solver run.
+    """Objective and stationarity history of a single solver run.
 
-    ``objective_history`` and ``stationarity_history`` always have equal
-    length; ``evals_history`` tracks the run's cumulative oracle-call
-    count at each recorded iteration and is therefore monotone.
+    ``record`` writes one entry to each of the four histories, so they
+    always have equal length, and checks that ``evals_history``, the run's
+    cumulative oracle-call count at each recorded iteration, is monotone.
     """
 
-    iterates: list = field(default_factory=list)
     objective_history: list = field(default_factory=list)
     stationarity_history: list = field(default_factory=list)
     evals_history: list = field(default_factory=list)
@@ -32,18 +31,10 @@ class SolverReport:
     oracle_calls: dict = field(default_factory=dict)
     solution: np.ndarray | None = None
 
-    def record(self, it, x, objective, stationarity, evals, keep_iterate=False):
+    def record(self, it, objective, stationarity, evals):
+        last = self.evals_history[-1] if self.evals_history else evals
+        assert evals >= last, "oracle counters must be monotone"
         self.iteration_index.append(int(it))
         self.objective_history.append(float(objective))
         self.stationarity_history.append(float(stationarity))
         self.evals_history.append(int(evals))
-        if keep_iterate:
-            self.iterates.append(np.array(x, dtype=float))
-
-    def validate(self):
-        n = len(self.objective_history)
-        assert len(self.stationarity_history) == n
-        assert len(self.evals_history) == n
-        assert all(
-            b >= a for a, b in zip(self.evals_history, self.evals_history[1:])
-        ), "oracle counters must be monotone"

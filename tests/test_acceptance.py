@@ -82,16 +82,16 @@ def test_criterion_2_proxlinear_equals_ista_on_lasso():
     beta = prob.L * prob.beta
     x0 = RandomStream(1001).normal(50)
 
-    rep = proxlinear_run(prob, x0, beta=beta, outer_iters=100, stat_tol=0.0)
-
-    # independent ISTA loop
+    # independent ISTA loop, against x_k for k = 1..100: with stat_tol = 0
+    # a run of k steps never stops early, so its solution is x_k
     x = x0.copy()
     t = 0.1 / beta
     worst = 0.0
-    for k in range(100):
-        worst = max(worst, float(np.max(np.abs(rep.iterates[k] - x))))
+    for k in range(1, 101):
         z = x - A.T @ (A @ x - b) / beta
         x = np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+        rep = proxlinear_run(prob, x0, beta=beta, outer_iters=k, stat_tol=0.0)
+        worst = max(worst, float(np.max(np.abs(rep.solution - x))))
     assert worst <= 1e-8, "max per-iterate deviation %.3e" % worst
 
 

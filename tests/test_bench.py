@@ -109,6 +109,8 @@ class TestConfigParsing:
         ("catalyst-gd", "kappa", "inf", "must be a finite number, got inf"),
         ("proxlinear", "stat_tol", "-1", "must be >= 0, got -1"),
         ("proxlinear", "stat_tol", "nan", "must be a finite number, got nan"),
+        ("proxlinear", "inner_tol", "-1", "must be > 0, got -1"),
+        ("proxlinear", "inner_tol", "0", "must be > 0, got 0"),
         ("proximal_point", "step_tol", "-1e-8", "must be >= 0, got -1e-08"),
         ("proximal_point", "inner_tol", "inf", "must be a finite number, got inf"),
         ("gd", "eps", "0", "must be > 0, got 0"),
@@ -120,12 +122,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 5: solver.%s %s" % (key, message)):
             parse_config_text(text)
 
-    @pytest.mark.parametrize("solver", ["gd", "prox_gd", "svrg"])
-    def test_kappa_on_plain_arm_rejected(self, solver):
+    # a plain arm runs its inner method once, with kappa = 0: neither the
+    # outer loop's kappa nor its outer_iters selects anything there
+    @pytest.mark.parametrize("solver,key", [
+        ("gd", "kappa"), ("svrg", "kappa"),
+        ("gd", "outer_iters"), ("svrg", "outer_iters"),
+    ], ids=["gd", "svrg", "gd-outer_iters", "svrg-outer_iters"])
+    def test_kappa_on_plain_arm_rejected(self, solver, key):
         text = ("problem.name = ridge\nproblem.d = 4\nproblem.m = 10\n"
-                "solver.name = %s\nsolver.kappa = 5\nseeds = 0\n" % solver)
-        with pytest.raises(ConfigError, match="line 5: unknown key 'solver.kappa' "
-                                              "for solver '%s'" % solver):
+                "solver.name = %s\nsolver.%s = 5\nseeds = 0\n" % (solver, key))
+        with pytest.raises(ConfigError, match="line 5: unknown key 'solver.%s' "
+                                              "for solver '%s'" % (key, solver)):
             parse_config_text(text)
 
     @pytest.mark.parametrize("text,message", [
@@ -140,7 +147,7 @@ class TestConfigParsing:
 
     # Every solver's keys and defaults, written out: a change to a library
     # function's signature must not add or change a config key silently.
-    _FINITE_SUM = {"outer_iters": 1000, "eps": 1e-10, "inner_budget": 10_000_000}
+    _FINITE_SUM = {"eps": 1e-10, "inner_budget": 10_000_000}
     SOLVER_KEYS = {
         "proxlinear": {"outer_iters": 200, "stat_tol": 1e-9, "inner_tol": None,
                        "beta": None},
@@ -148,11 +155,9 @@ class TestConfigParsing:
                            "inner_tol": 1e-10},
         "pgsg": {"outer_iters": 200, "stat_every": 1, "envelope_inner_tol": 1e-8},
         "gd": _FINITE_SUM,
-        "prox_gd": _FINITE_SUM,
         "svrg": _FINITE_SUM,
-        "catalyst-gd": {**_FINITE_SUM, "kappa": None},
-        "catalyst-prox_gd": {**_FINITE_SUM, "kappa": None},
-        "catalyst-svrg": {**_FINITE_SUM, "kappa": None},
+        "catalyst-gd": {"outer_iters": 1000, **_FINITE_SUM, "kappa": None},
+        "catalyst-svrg": {"outer_iters": 1000, **_FINITE_SUM, "kappa": None},
     }
 
     def test_solver_keys_and_defaults_pinned(self):
@@ -184,8 +189,14 @@ class TestConfigParsing:
 def constant_report(value, n=5):
     rep = SolverReport()
     for t in range(n):
-        rep.record(t, None, value, value / 10.0, t)
+        rep.record(t, value, value / 10.0, t)
     return rep
+
+
+def test_record_rejects_falling_evals():
+    rep = constant_report(1.0)
+    with pytest.raises(AssertionError, match="monotone"):
+        rep.record(5, 1.0, 0.1, 3)
 
 
 class TestEmitSummary:
@@ -226,7 +237,7 @@ class TestEmitSummary:
             stat[rng.uniform(size=n) < 0.1] = np.nan
             rep = SolverReport()
             for t in range(n):
-                rep.record(t, None, obj[t], stat[t], t)
+                rep.record(t, obj[t], stat[t], t)
             reps.append(rep)
         obj = proxkit.bench._padded_columns(reps, "objective_history")
         stat = proxkit.bench._padded_columns(reps, "stationarity_history")
@@ -439,6 +450,23 @@ class TestCli:
 
     def test_missing_file_exits_2(self, capsys):
         assert cli_main(["run", "/nonexistent/x.cfg"]) == 2
+
+    @pytest.mark.parametrize("case", ["config_dir", "config_not_utf8",
+                                      "out_is_file", "out_under_file"])
+    def test_bad_path_exits_2(self, tmp_path, capsys, case):
+        cfg, out = tmp_path / "ok.cfg", tmp_path / "o"
+        cfg.write_text(LASSO_CFG)
+        if case == "config_dir":
+            cfg = tmp_path
+        elif case == "config_not_utf8":
+            cfg.write_bytes(b"problem.name = \xff\xfe\n")
+        else:
+            (tmp_path / "f").write_text("")
+            out = tmp_path / "f" if case == "out_is_file" else tmp_path / "f" / "o"
+        assert cli_main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(cfg if case.startswith("config") else out) in err
 
     def test_solver_failure_exits_3(self, tmp_path, capsys):
         p = tmp_path / "fail.cfg"

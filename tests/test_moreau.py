@@ -201,7 +201,8 @@ class TestProximalPoint:
     def test_geometric_halving_on_quadratic(self):
         # [DERIVED] for f = 0.5||x||^2 and nu = 1: x_{t+1} = x_t / 2
         rep = proximal_point_run(SquaredL2(1.0), 1.0, np.array([8.0]), max_iters=4)
-        assert [it[0] for it in rep.iterates] == [8.0, 4.0, 2.0, 1.0]
+        # f(x_t) = x_t^2 / 2 at x_t = 8, 4, 2, 1
+        assert rep.objective_history == [32.0, 8.0, 2.0, 0.5]
 
     def test_step_tol_stops_early(self):
         rep = proximal_point_run(
@@ -224,14 +225,21 @@ class TestProximalPoint:
         rep = proximal_point_run(L1Norm(1.0), 0.5, np.array([1.6]), max_iters=10)
         assert abs(rep.solution[0]) < 1e-12
 
-    def test_one_objective_pass_per_step(self):
+    def test_one_objective_pass_per_step(self, monkeypatch):
         # each step's prox map evaluates f at the next iterate, which the
         # next row records: only x0 is evaluated on its own
+        centers = []
+
+        def recording_prox_map(f, nu, z, inner_tol):
+            centers.append(np.array(z))
+            return prox_map(f, nu, z, inner_tol=inner_tol)
+
+        monkeypatch.setattr(moreau, "prox_map", recording_prox_map)
         f = make_lasso(d=10, m=25, lam=0.1, seed=3).problem
         rep = proximal_point_run(f, 1.0 / (2.0 * f.beta), np.ones(10), max_iters=5)
         assert rep.oracle_calls["value"] == 1 + 5
         f2 = make_lasso(d=10, m=25, lam=0.1, seed=3).problem
-        assert [f2.value(x) for x in rep.iterates] == rep.objective_history
+        assert [f2.value(x) for x in centers] == rep.objective_history
 
     @pytest.mark.parametrize("seed", range(4))
     def test_converged_only_when_resolved_gradient_is_below_step_tol(
@@ -239,9 +247,10 @@ class TestProximalPoint:
         # the recorded stationarity comes from a prox map solved loosely;
         # the step that stops the run must have certified 1% of step_tol,
         # and still be stationary when re-solved to 1e-12
-        tols, certs = [], []
+        tols, certs, centers = [], [], []
 
         def recording_prox_map(f, nu, z, inner_tol):
+            centers.append(np.array(z))
             tols.append(inner_tol)
             mp = prox_map(f, nu, z, inner_tol=inner_tol)
             certs.append(mp.certificate)
@@ -252,14 +261,14 @@ class TestProximalPoint:
         nu, step_tol = 1.0 / (2.0 * f.beta), 1e-8
         rep = proximal_point_run(f, nu, np.zeros(50), max_iters=2000,
                                  step_tol=step_tol)
-        assert len(rep.iterates) < 2000  # converged, not out of budget
+        assert len(rep.iteration_index) < 2000  # converged, not out of budget
         stats = rep.stationarity_history
         assert tols == [1e-10] + [max(1e-10, 0.01 * s) for s in stats[:-1]]
         assert certs[-1] <= 0.01 * step_tol
         # no earlier step below step_tol had certified as much
         assert not any(s < step_tol and c <= 0.01 * step_tol
                        for s, c in zip(stats[:-1], certs[:-1]))
-        mp = prox_map(f, nu, rep.iterates[-1], inner_tol=1e-12)
+        mp = prox_map(f, nu, centers[-1], inner_tol=1e-12)
         assert np.linalg.norm(mp.envelope_gradient) < step_tol
 
     def test_tolerance_rule_reaches_composite_branch(self, monkeypatch):
@@ -270,7 +279,7 @@ class TestProximalPoint:
             prob = make_phase_retrieval(d=4, m=24, seed=3).problem
             rep = proximal_point_run(prob, 1.0 / (2.0 * prob.rho), np.ones(4),
                                      max_iters=500, step_tol=1e-6)
-            assert len(rep.iterates) < 500
+            assert len(rep.iteration_index) < 500
             assert rep.stationarity_history[-1] < 1e-6
             return rep.oracle_calls["c_jvp"]
 
