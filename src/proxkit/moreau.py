@@ -7,8 +7,8 @@ generic proximal point iteration.
 * a ``SmoothPlusProx`` bundle s + g, the additive composite, is solved
   by an accelerated proximal gradient iteration on its own gradient,
   linearly convergent because every prox subproblem is strongly convex;
-* general composites g + h(c(x)) are solved by running the prox-linear
-  method on the quadratically shifted problem.
+* general composites g + h(c(x)) are solved by ``proxlinear_run`` on the
+  quadratically shifted problem, which stops only on a certified gap.
 
 The certificate reported with each prox point is the norm of the
 subproblem's proximal-gradient mapping (for composites, the prox-linear
@@ -24,12 +24,18 @@ import numpy as np
 
 from .errors import BudgetExceeded, NonconvexSubproblem
 from .oracles import CompositeProblem, ShiftedQuadraticProx, SmoothPlusProx, euclidean_norm
+from .proxlinear import _GAP_FLOOR, proxlinear_run
 from .report import SolverReport, calls_since
 
 
 # Inner tolerance of a proximal-point step relative to the previous step's
 # envelope-gradient norm (see proximal_point_run).
 _INNER_REL = 0.01
+
+# Step budgets of one prox map: FISTA steps on a smooth-plus-prox bundle,
+# prox-linear steps on a general composite.
+_FISTA_STEPS = 200_000
+_COMPOSITE_STEPS = 2000
 
 
 @dataclass
@@ -92,7 +98,7 @@ def _fista_prox(f: SmoothPlusProx, nu, z, inner_tol, budget):
     )
 
 
-def prox_map(f, nu: float, z, inner_tol: float = 1e-10, budget: int = 2000) -> MoreauPoint:
+def prox_map(f, nu: float, z, inner_tol: float = 1e-10) -> MoreauPoint:
     """Compute prox_{nu f}(z) together with the envelope value/gradient.
 
     Requires nu < 1/rho(f) so the subproblem is strongly convex.  An
@@ -111,13 +117,13 @@ def prox_map(f, nu: float, z, inner_tol: float = 1e-10, budget: int = 2000) -> M
     if inner_tol <= 0:
         raise ValueError("inner_tol must be positive")
 
-    if hasattr(f, "prox") and not isinstance(f, CompositeProblem):
+    if hasattr(f, "prox"):
         p = np.asarray(f.prox(nu, z), dtype=float)
         cert = 0.0
     elif isinstance(f, SmoothPlusProx):
-        p, cert = _fista_prox(f, nu, z, inner_tol, budget * 100)
+        p, cert = _fista_prox(f, nu, z, inner_tol, _FISTA_STEPS)
     elif isinstance(f, CompositeProblem):
-        p, cert = _prox_composite(f, nu, z, inner_tol, budget)
+        p, cert = _prox_composite(f, nu, z, inner_tol, _COMPOSITE_STEPS)
     else:
         raise TypeError(
             "cannot compute prox of %r: need a closed-form prox, a "
@@ -135,35 +141,25 @@ def prox_map(f, nu: float, z, inner_tol: float = 1e-10, budget: int = 2000) -> M
 
 
 def _prox_composite(f: CompositeProblem, nu, z, inner_tol, budget):
-    """Prox of a general composite via prox-linear on the shifted problem."""
-    from .proxlinear import _GAP_FLOOR, proxlinear_step
-
+    """Prox-linear run from z on g + ||. - z||^2/(2 nu) + h(c(x)).  The
+    stopping step's gap keeps the surrogate's measurement error
+    sqrt(2 gap beta) an order of magnitude below inner_tol."""
     shifted = CompositeProblem(ShiftedQuadraticProx(f.g, nu, z), f.h, f.c)
     shifted.counters = f.counters  # the shifted problem's oracle calls are f's
     beta = max(f.L * f.beta, 1e-12)
-    x = z.copy()
-    dual = None
-    # gap such that the surrogate measurement error sqrt(2 gap beta)
-    # stays an order of magnitude below the target residual
-    gap_floor = max(_GAP_FLOOR, 5e-3 * inner_tol**2 / beta)
-    gap_tol = max(gap_floor, 1e-8)
-    best = (x, np.inf)
-    for _ in range(budget):
-        x_next, surr, dual = proxlinear_step(
-            shifted, x, beta, inner_tol=gap_tol, warm_dual=dual
-        )
-        x = x_next
-        if surr.norm < best[1]:
-            best = (x, surr.norm)
-        if surr.norm <= inner_tol and gap_tol <= max(gap_floor, 5e-3 * surr.norm**2 / beta):
-            return x, surr.norm
-        gap_tol = max(gap_floor, min(gap_tol, 5e-3 * surr.norm**2 / beta))
-    raise BudgetExceeded(
-        "composite prox: residual %.3e > tol %.3e after %d prox-linear steps"
-        % (best[1], inner_tol, budget),
-        best_point=best[0],
-        achieved=best[1],
+    rep = proxlinear_run(
+        shifted, z, beta=beta, outer_iters=budget, stat_tol=inner_tol,
+        inner_tol=max(_GAP_FLOOR, 5e-3 * inner_tol**2 / beta),
     )
+    residual = rep.stationarity_history[-1]
+    if len(rep.stationarity_history) == budget:
+        raise BudgetExceeded(
+            "composite prox: residual %.3e > tol %.3e after %d prox-linear steps"
+            % (residual, inner_tol, budget),
+            best_point=rep.solution,
+            achieved=residual,
+        )
+    return rep.solution, residual
 
 
 def proximal_point_run(

@@ -18,8 +18,9 @@ from proxkit import (
     prox_map,
     proximal_point_run,
 )
-from proxkit import moreau
+from proxkit import moreau, proxlinear
 from proxkit.core import finite_difference_gradient
+from proxkit.proxlinear import proxlinear_step
 
 
 def abs_composite():
@@ -112,6 +113,50 @@ class TestCompositeProx:
         obj = np.abs(xs**2 - 1.0) + (xs - z) ** 2 / (2 * nu)
         ref = xs[np.argmin(obj)]
         assert abs(mp.prox_point[0] - ref) < 1e-5
+
+    @staticmethod
+    def _record_steps(monkeypatch):
+        """Route proxlinear_step through a wrapper; returns the list it
+        appends each step's (x_next, surrogate, dual) to."""
+        steps = []
+
+        def recording_step(*args, **kwargs):
+            steps.append(proxlinear_step(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(proxlinear, "proxlinear_step", recording_step)
+        return steps
+
+    @staticmethod
+    def _robust_pr_case():
+        f = make_phase_retrieval(d=5, m=30, outlier_frac=0.1, seed=0).problem
+        z = 2.0 * RandomStream(0, stream_id=501).normal(5)
+        return f, 1.0 / (2.0 * f.rho + 1.0), z
+
+    def test_stopping_step_certifies_the_stop_gap(self, monkeypatch):
+        # the step a prox map returns must have achieved the stop gap, not
+        # merely asked for it: this case ends on a step that asked for
+        # _GAP_FLOOR when stopping is decided by the request
+        steps = self._record_steps(monkeypatch)
+        f, nu, z = self._robust_pr_case()
+        inner_tol = 1e-8
+        mp = prox_map(f, nu, z, inner_tol=inner_tol)
+        surr = steps[-1][1]
+        assert surr.norm == mp.certificate <= inner_tol
+        assert surr.gap <= max(proxlinear._GAP_FLOOR, 5e-3 * inner_tol**2 / (f.L * f.beta))
+
+    def test_step_budget_exhausted_raises(self, monkeypatch):
+        # a composite prox map that runs out of prox-linear steps raises
+        # with its last iterate; it never returns an uncertified point
+        steps = self._record_steps(monkeypatch)
+        monkeypatch.setattr(moreau, "_COMPOSITE_STEPS", 2)
+        f, nu, z = self._robust_pr_case()
+        with pytest.raises(BudgetExceeded) as err:
+            prox_map(f, nu, z, inner_tol=1e-8)
+        assert len(steps) == 2
+        x_last, surr, _ = steps[-1]
+        assert err.value.best_point.tobytes() == x_last.tobytes()
+        assert err.value.achieved == surr.norm > 1e-8
 
     def test_identity_composite_dispatch(self):
         # the additive composite (h the identity) is a SmoothPlusProx: it
