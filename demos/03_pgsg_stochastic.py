@@ -35,7 +35,6 @@ rep = pgsg_run(
     schedule=schedule,
     rng=RandomStream(3, stream_id=200),
     stat_every=25,
-    envelope_inner_tol=1e-8,
 )
 
 print("\n outer   F(x_t)          ||grad F_nu(x_t)||   subgrad samples")

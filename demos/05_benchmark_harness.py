@@ -26,7 +26,6 @@ solver.name = proxlinear
 solver.outer_iters = 50
 solver.stat_tol = 1e-10
 seeds = 0, 1, 2
-run.record_every = 5
 """
 
 cfg = parse_config_text(CONFIG)

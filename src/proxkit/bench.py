@@ -173,7 +173,6 @@ class ExperimentConfig:
     arms: list  # list of (arm_name, solver_name, params)
     seeds: list
     target_gap: float | None = None
-    record_every: int = 1
     source_text: str = ""
 
     @property
@@ -193,7 +192,6 @@ def _coerce(raw: str):
 _KEYWORD = inspect.Parameter.KEYWORD_ONLY
 _RUN_PARAMS = {
     "target_gap": inspect.Parameter("target_gap", _KEYWORD, default=None, annotation=float),
-    "record_every": inspect.Parameter("record_every", _KEYWORD, default=1, annotation=int),
 }
 
 # Value ranges beyond "a finite number" (and "a positive integer" for a
@@ -216,7 +214,6 @@ _RANGES = {
     ("proximal_point", "nu"): _POSITIVE,
     ("proximal_point", "step_tol"): _NON_NEGATIVE,
     ("proximal_point", "inner_tol"): _POSITIVE,
-    ("pgsg", "envelope_inner_tol"): _POSITIVE,
     ("run", "target_gap"): _POSITIVE,
 }
 for _n in ("gd", "svrg"):
@@ -323,8 +320,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     run = _check_section("run", sections["run"], _RUN_PARAMS, "run", "", lines)
     return ExperimentConfig(
         problem={"name": pname, **prob}, arms=arms, seeds=seeds,
-        target_gap=run["target_gap"], record_every=run["record_every"],
-        source_text=text,
+        target_gap=run["target_gap"], source_text=text,
     )
 
 
@@ -402,18 +398,9 @@ def _run_csv_text(config: ExperimentConfig, report, seed: int, wall_ns: int) -> 
         "# proxkit=%s,config_sha256=%s,seed=%d" % (_VERSION, config.sha256, seed),
         _CSV_COLUMNS,
     ]
-    n = len(report.iteration_index)
-    stride = config.record_every
-    for k in range(n):
-        if k % stride and k != n - 1:
-            continue
-        lines.append(",".join([
-            str(report.iteration_index[k]),
-            _fmt(report.objective_history[k]),
-            _fmt(report.stationarity_history[k]),
-            str(report.evals_history[k]),
-            str(wall_ns),
-        ]))
+    for it, obj, stat, evals in zip(report.iteration_index, report.objective_history,
+                                    report.stationarity_history, report.evals_history):
+        lines.append(",".join([str(it), _fmt(obj), _fmt(stat), str(evals), str(wall_ns)]))
     return "\n".join(lines) + "\n"
 
 

@@ -56,36 +56,25 @@ def _fista_prox(f: SmoothPlusProx, nu, z, inner_tol, budget):
     beta + 1/nu.
 
     Returns (x, residual) where residual is the prox-gradient mapping norm.
-    Gradients and prox steps go on ``f.counters``, one of each per step
-    begun.  The loop writes only into its own buffers, never into an
-    array an oracle returned.
+    Each step is the textbook update of tests/test_moreau.py, operation
+    for operation.  Gradients and prox steps go on ``f.counters``, one of
+    each per step begun.
     """
     lips = f.beta + 1.0 / nu
     sq = math.sqrt((1.0 / nu - f.rho) / lips)
     momentum = (1.0 - sq) / (1.0 + sq)
     step = 1.0 / lips
     grad, prox = f.smooth_grad, f.g.prox
-    x = z.copy()
-    y = z.copy()
-    shift = np.empty_like(y)
-    diff = np.empty_like(y)
+    x = y = z
     residual = np.inf
     k = 0
     try:
         for k in range(1, budget + 1):
-            # shift = (s'(y) + (y - z)/nu) / lips: the subproblem's gradient step
-            np.subtract(y, z, out=shift)
-            shift /= nu
-            np.add(grad(y), shift, out=shift)
-            shift /= lips
-            x_new = prox(step, y - shift)
-            np.subtract(x_new, y, out=diff)
-            residual = lips * euclidean_norm(diff)
+            x_new = prox(step, y - (grad(y) + (y - z) / nu) / lips)
+            residual = lips * euclidean_norm(x_new - y)
             if residual <= inner_tol:
                 return x_new, residual
-            np.subtract(x_new, x, out=diff)
-            diff *= momentum
-            np.add(x_new, diff, out=y)
+            y = x_new + (x_new - x) * momentum
             x = x_new
     finally:
         f.counters["grad"] += k

@@ -30,6 +30,9 @@ from .errors import InvalidModulus, OracleFailure
 from .report import SolverReport, calls_since
 from .rng import RandomStream
 
+# Certificate asked of each prox map behind the recorded envelope gradient.
+_ENVELOPE_INNER_TOL = 1e-8
+
 
 @dataclass
 class StochasticProblem:
@@ -143,7 +146,6 @@ def pgsg_run(
     rng: RandomStream,
     projector=None,
     stat_every: int = 1,
-    envelope_inner_tol: float = 1e-8,
 ) -> SolverReport:
     """Run the method for ``outer_iters`` outer steps.
 
@@ -174,7 +176,7 @@ def pgsg_run(
 
             nu = 1.0 / (2.0 * rho)
             mp = prox_map(problem.envelope_oracle, nu, xt,
-                          inner_tol=envelope_inner_tol)
+                          inner_tol=_ENVELOPE_INNER_TOL)
             return float(np.linalg.norm(mp.envelope_gradient))
         return 2.0 * rho * float(np.linalg.norm(xt - xprev))
 

@@ -96,17 +96,14 @@ def _solve_model_subproblem(
     h.dual_project, so the dual objective never involves h* explicitly.
     The update rules are in the module docstring.  The first tau is
     1/sqrt(||K^T K v||) >= 1/||K|| for the normalized ones vector v,
-    which the linesearch then corrects.  K x and K^T u are cached, so the
-    gap checked every ``_CHECK_EVERY`` iterations costs no products, and
-    ``max_iters`` counts iterations, not linesearch trials.
+    which the linesearch then corrects.
 
-    Each iteration is the textbook update of tests/test_proxlinear.py bit
-    for bit: every floating-point operation keeps its operands, and an
-    in-place update only swaps the operands of a commutative one.  The
-    loop writes into its own buffers only, never into an array an oracle
-    returned (c's products, g.prox, h.dual_project) or will return.  Its
-    Jacobian products are tallied locally and added to
-    ``problem.counters`` once, on whichever exit the solve takes.
+    Each iteration is the textbook update of tests/test_proxlinear.py,
+    operation for operation.  K x and K^T u are cached, so the gap checked
+    every ``_CHECK_EVERY`` iterations costs no products, and ``max_iters``
+    counts iterations, not linesearch trials.  Jacobian products are
+    tallied locally and added to ``problem.counters`` once, on whichever
+    exit the solve takes.
     """
     g, h, c = problem.g, problem.h, problem.c
     x_t = np.asarray(x_t, dtype=float)
@@ -137,27 +134,17 @@ def _solve_model_subproblem(
         jvps, vjps = 2, 2
 
         theta = r = 1.0
-        v, dq = np.empty_like(x), np.empty_like(x)
-        Kxe, dKx, du = np.empty_like(e), np.empty_like(e), np.empty_like(e)  # Kxe = K x + e
-
         best_x, best_gap = x.copy(), np.inf
         stagnant = 0
         last_improve = 0
         x_prev_check = x.copy()
         for k in range(1, max_iters + 1):
-            # x_new = prox(tau * scale, (x - tau * K^T u + tau * beta * x_t)
-            # * scale); z is fresh, as g.prox may return its argument
-            np.multiply(Ktu, tau, out=v)
-            np.subtract(x, v, out=v)
             scale = 1.0 / (1.0 + tau * beta)
-            z = np.multiply(x_t, tau * beta)
-            z += v
-            z *= scale
-            x_new = g.prox(tau * scale, z)
+            x_new = g.prox(tau * scale, (x - tau * Ktu + tau * beta * x_t) * scale)
             Kx_new = K(x_new)
             jvps += 1
-            np.add(Kx_new, e, out=Kxe)
-            np.subtract(Kx_new, Kx, out=dKx)
+            Kxe = Kx_new + e
+            dKx = Kx_new - Kx
 
             # theta_new = tau_new / tau, never divided: an infinite product gives tau = 0
             r_new = r * (1.0 + beta * tau)
@@ -165,18 +152,18 @@ def _solve_model_subproblem(
             while True:
                 tau_new = tau * theta_new
                 sigma = r_new * tau_new
-                # u_new = dual_project(u + sigma * (K x_new + e + theta_new
-                # * (K x_new - K x))); w is fresh, as dual_project may
-                # return its argument
-                w = np.multiply(dKx, theta_new)
+                # w = u + sigma * (Kxe + theta_new * dKx), built in place
+                # (faster than the plain form); it is fresh on each trial,
+                # so dual_project may return it
+                w = dKx * theta_new
                 w += Kxe
                 w *= sigma
                 w += u
                 u_new = h.dual_project(w)
                 Ktu_new = Kt(u_new)
                 vjps += 1
-                np.subtract(Ktu_new, Ktu, out=dq)
-                np.subtract(u_new, u, out=du)
+                dq = Ktu_new - Ktu
+                du = u_new - u
                 # a NaN product is accepted, so the gap checks end the solve
                 if not r_new * tau_new * tau_new * float(dq @ dq) > _DELTA_SQ * float(du @ du):
                     break

@@ -103,7 +103,6 @@ class TestConfigParsing:
         ("proxlinear", "beta", "-2", "must be > 0, got -2"),
         ("proximal_point", "nu", "0", "must be > 0, got 0"),
         ("proximal_point", "inner_tol", "0", "must be > 0, got 0"),
-        ("pgsg", "envelope_inner_tol", "0", "must be > 0, got 0"),
         ("catalyst-gd", "kappa", "-1", "must be >= 0, got -1"),
         ("proxlinear", "beta", "inf", "must be a finite number, got inf"),
         ("catalyst-gd", "kappa", "inf", "must be a finite number, got inf"),
@@ -137,7 +136,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("text,message", [
         ("run.name = x\n", "line 8: unknown key 'run.name'"),
-        ("run.record_every = 0\n", "line 8: run.record_every must be a positive integer"),
+        ("run.record_every = 5\n", "line 8: unknown key 'run.record_every'"),
         ("run.target_gap = -1\n", "line 8: run.target_gap must be > 0, got -1"),
         ("baseline.outer_iters = 3\n", "missing required key 'baseline.name'"),
     ])
@@ -153,7 +152,7 @@ class TestConfigParsing:
                        "beta": None},
         "proximal_point": {"nu": None, "max_iters": 100, "step_tol": 0.0,
                            "inner_tol": 1e-10},
-        "pgsg": {"outer_iters": 200, "stat_every": 1, "envelope_inner_tol": 1e-8},
+        "pgsg": {"outer_iters": 200, "stat_every": 1},
         "gd": _FINITE_SUM,
         "svrg": _FINITE_SUM,
         "catalyst-gd": {"outer_iters": 1000, **_FINITE_SUM, "kappa": None},

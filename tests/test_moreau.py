@@ -174,8 +174,8 @@ class TestCompositeProx:
 
 
 def textbook_fista(smooth_grad, lips, mu, g, z0, inner_tol, budget):
-    """The FISTA prox loop written plainly, the reference the fused loop
-    in ``moreau._fista_prox`` must match bit for bit."""
+    """The FISTA prox loop as the method states it, the reference that
+    ``moreau._fista_prox`` must match bit for bit."""
     x = np.asarray(z0, dtype=float).copy()
     y = x.copy()
     sq = np.sqrt(mu / lips)
@@ -201,6 +201,9 @@ def identity_gradient_bundle():
 
 
 class TestFusedFista:
+    """``_fista_prox`` against ``textbook_fista``: the same iterates, bit
+    for bit, and the same budget exit."""
+
     CASES = [
         (lambda: make_lasso(d=10, m=25, lam=0.1, seed=3).problem, 10),
         (lambda: make_lasso(d=50, m=100, lam=0.1, seed=1).problem, 50),

@@ -263,6 +263,8 @@ def test_pdhg_loop_is_textbook_bit_for_bit(case, short):
         kwargs.update(max_iters=60, warm_dual=1e-3 * RandomStream(54).normal(m))
     ref = _pdhg_outcome(_textbook_pdhg, make_problem, x_t, **kwargs)
     new = _pdhg_outcome(_solve_model_subproblem, make_problem, x_t, **kwargs)
+    if short:  # the warm start is left as it was
+        assert kwargs["warm_dual"].tobytes() == (1e-3 * RandomStream(54).normal(m)).tobytes()
     for a, b in zip(ref[:3], new[:3]):
         a, b = np.asarray(a), np.asarray(b)
         assert a.dtype == b.dtype and a.shape == b.shape
