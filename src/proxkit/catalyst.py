@@ -11,6 +11,21 @@ Nesterov-style momentum:
     beta_t = alpha_{t-1} (1 - alpha_{t-1}) / (alpha_{t-1}^2 + alpha_t)
     y_t = x_t + beta_t (x_t - x_{t-1})
 
+Each inner solve starts at the solution it predicts (Lin, Mairal &
+Harchaoui, arXiv 1712.05654, with the curvature estimated): the first at
+x_0, subproblem t+1 at
+
+    z = x_t + kappa / (kappa + lambda) (y_t - y_{t-1}),
+
+which is its solution exactly when the smooth part is a quadratic of
+curvature lambda.  lambda starts at mu and, after each step with
+s = x_t - x_{t-1} != 0, is the Barzilai-Borwein secant
+
+    lambda = max(mu, <grad f(x_t) - grad f(x_{t-1}), s> / ||s||^2),
+
+from gradients the loop already has.  Any start is safe, since every
+inner stop is certified.
+
 Complexity is counted in individual component-gradient evaluations.
 """
 
@@ -287,9 +302,9 @@ def catalyst_run(
 
     Subproblem target accuracies follow the geometric schedule
     eps_t = C (1 - 0.9 sqrt(q))^t with C an initial optimality-gap
-    estimate from the strong convexity bound at x0.  Subproblems warm
-    start at the prox center y (it is the point the subproblem is anchored
-    at, and measurably closer to its optimum than x_prev).
+    estimate from the strong convexity bound at x0.  Each subproblem
+    starts at its predicted solution (the module docstring gives the
+    rule).
 
     kappa = 0 degenerates to a single call of the inner method on the
     original problem (q = 1 leaves no extrapolation to do).
@@ -321,28 +336,37 @@ def catalyst_run(
     alpha = math.sqrt(q)
     y = x.copy()
     x_prev = x.copy()
+    start_point = x
+    lam = mu
 
-    g0 = problem.full_gradient(x)
+    g_prev = problem.full_gradient(x)
     # schedule scale: the valid bound ||grad||^2/(2 mu) is often hundreds
     # of times above the true gap, which would waste log-many outer
     # iterations; the geometric mean of the mu- and beta-based bounds is a
     # schedule heuristic only, so misestimating it is convergence-safe
     gap_estimate = max(
-        float(g0 @ g0) / (2.0 * math.sqrt(mu * problem.beta_i)), 1e-16
+        float(g_prev @ g_prev) / (2.0 * math.sqrt(mu * problem.beta_i)), 1e-16
     )
     decay = 1.0 - 0.9 * math.sqrt(q)
 
     for t in range(1, outer_iters + 1):
         target = gap_estimate * decay**t
         sub = Subproblem(problem, kappa, y)
-        x_new, _, sub_grad = inner.run(sub, y, target, inner_budget, rng=rng)
+        x_new, _, sub_grad = inner.run(sub, start_point, target, inner_budget, rng=rng)
+        # outer gradient from the subproblem gradient, no extra evals
+        grad = sub_grad - kappa * (x_new - sub.center)
+
+        s = x_new - x_prev
+        ss = float(s @ s)
+        if ss > 0.0:
+            lam = max(mu, float((grad - g_prev) @ s) / ss)
+        g_prev = grad
         alpha_new, beta_t = momentum_update(alpha, q)
-        y = x_new + beta_t * (x_new - x_prev)
+        y = x_new + beta_t * s
+        start_point = x_new + (kappa / (kappa + lam)) * (y - sub.center)
         x_prev = x_new
         alpha = alpha_new
 
-        # outer gradient from the subproblem gradient, no extra evals
-        grad = sub_grad - kappa * (x_new - sub.center)
         outer_bound = _certified_bound(Subproblem(problem, 0.0, x_new), x_new, grad)
         report.record(t, problem.value(x_new),
                       float(np.linalg.norm(grad)),

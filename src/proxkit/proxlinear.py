@@ -248,8 +248,10 @@ def proxlinear_run(
     steps far from a solution are solved loosely and the tolerance never
     loosens.  Tying the gap to s**4 keeps the inexact step within O(s**2)
     of the exact one, which preserves local quadratic convergence on sharp
-    problems.  The floor, ``min(inner_tol, 16 * machine epsilon)``, keeps
-    the request above the rounding noise of the computed gap.
+    problems.  The floor, ``min(inner_tol, max(16 * machine epsilon,
+    5e-3 * stat_tol**2 / beta))``, keeps the request above the rounding
+    noise of the computed gap and asks no more than the stop needs: a gap
+    delta leaves the scaled step off by about sqrt(2 beta delta).
 
     ``inner_tol`` is the gap the stopping step must certify: a loosely
     solved step cannot stop the run, however small its surrogate norm.
@@ -266,7 +268,7 @@ def proxlinear_run(
 
     dual = None
     gap_tol = max(inner_tol, _FIRST_INNER_TOL)
-    gap_floor = min(inner_tol, _GAP_FLOOR)
+    gap_floor = min(inner_tol, max(_GAP_FLOOR, 5e-3 * stat_tol**2 / beta))
     for t in range(outer_iters):
         x_next, surr, dual = proxlinear_step(
             problem, x, beta, inner_tol=gap_tol, warm_dual=dual

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +23,15 @@ class SolverReport:
     ``record`` writes one entry to each of the four histories, so they
     always have equal length, and checks that ``evals_history``, the run's
     cumulative oracle-call count at each recorded iteration, is monotone.
+    The histories are typed arrays, 8 bytes a value: ``array("d")`` for
+    the objective and stationarity, ``array("q")`` for the evaluation
+    count and the iteration index.
     """
 
-    objective_history: list = field(default_factory=list)
-    stationarity_history: list = field(default_factory=list)
-    evals_history: list = field(default_factory=list)
-    iteration_index: list = field(default_factory=list)
+    objective_history: array = field(default_factory=lambda: array("d"))
+    stationarity_history: array = field(default_factory=lambda: array("d"))
+    evals_history: array = field(default_factory=lambda: array("q"))
+    iteration_index: array = field(default_factory=lambda: array("q"))
     oracle_calls: dict = field(default_factory=dict)
     solution: np.ndarray | None = None
 

@@ -1,6 +1,8 @@
 """Benchmark harness: config parsing, summary aggregation, CLI contract."""
 
 import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -196,6 +198,37 @@ def test_record_rejects_falling_evals():
     rep = constant_report(1.0)
     with pytest.raises(AssertionError, match="monotone"):
         rep.record(5, 1.0, 0.1, 3)
+
+
+def test_thousand_rows_stay_under_40kb():
+    # typed rows, 8 bytes a value; list rows held a float or int object
+    # per value as well, about 136 bytes a row.  Measured as allocated
+    # bytes: sys.getsizeof of a list leaves out the objects it holds
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = SolverReport()
+        for t in range(1000):
+            rep.record(t, 1.0 + t / 7.0, 2.0 + t / 3.0, 1000 * t)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 40_000
+
+
+def test_typed_rows_give_the_bytes_of_list_rows():
+    rep = SolverReport()
+    for t in range(30):
+        rep.record(t, 10.0 / (t + 1), 0.5**t, 3 * t + 2)
+    rows = SimpleNamespace(**{k: list(getattr(rep, k)) for k in (
+        "iteration_index", "objective_history", "stationarity_history",
+        "evals_history")})
+    cfg = parse_config_text(LASSO_CFG)
+    assert (proxkit.bench._run_csv_text(cfg, rep, 0, 0)
+            == proxkit.bench._run_csv_text(cfg, rows, 0, 0))
+    assert emit_summary([rep, rep]) == emit_summary([rows, rows])
+    assert (proxkit.estimate_local_rate(rep.stationarity_history)
+            == proxkit.estimate_local_rate(rows.stationarity_history))
 
 
 class TestEmitSummary:

@@ -1,5 +1,6 @@
 """Catalyst outer loop, momentum recurrence, and inner methods."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -294,6 +295,78 @@ class TestCatalystRun:
                            outer_iters=3000, eps=1e-10,
                            rng=RandomStream(58, stream_id=17))
         assert prob.value(rep.solution) - inst.optimum_value < 1e-7
+
+
+def _underclaimed_quadratic_sum(mu):
+    """f_i(x) = 0.5 (a_i x - b_i)^2, m = 10, d = 4, with a declared mu above
+    the smallest curvature of the average, so the secant can fall below mu."""
+    rng = RandomStream(53)
+    A, b = rng.normal((10, 4)), rng.normal(10)
+    return FiniteSumProblem(
+        m=10, grad_i=lambda i, x: (float(A[i] @ x) - b[i]) * A[i],
+        value_i=lambda i, x: 0.5 * (float(A[i] @ x) - b[i]) ** 2,
+        g=None, mu=mu, beta_i=float(np.max(np.sum(A * A, axis=1))), dim=4)
+
+
+class TestWarmStart:
+    def test_each_subproblem_starts_at_its_predicted_solution(self):
+        # step 1 starts at x0; step t+1 at x_t + kappa/(kappa+lam)(y_t - y_{t-1}),
+        # lam the secant of the outer gradients, clamped at mu, kept when
+        # the step did not move
+        prob = _underclaimed_quadratic_sum(mu=1.0)
+        calls = []
+
+        def recording(sub, warm_start, target, budget, rng=None, trace=None):
+            out = prox_gd_run(sub, warm_start, target, budget, rng=rng)
+            calls.append((np.array(warm_start), sub.center.copy(), out[0], out[2]))
+            return out
+
+        kappa = choose_kappa(prob, "gd")
+        x0 = RandomStream(69).normal(4)
+        catalyst_run(prob, dataclasses.replace(inner_method("gd"), run=recording),
+                     kappa, x0, outer_iters=12, eps=0.0)
+        assert len(calls) == 12
+        assert np.array_equal(calls[0][0], x0)
+
+        mu = prob.mu
+        lam, x_prev, g_prev = mu, x0, prob.full_gradient(x0)
+        secants = []
+        for (_, y_prev, x, sub_grad), (start, y, _, _) in zip(calls, calls[1:]):
+            grad = sub_grad - kappa * (x - y_prev)
+            s = x - x_prev
+            if s @ s > 0.0:
+                secants.append(float((grad - g_prev) @ s) / float(s @ s))
+                lam = max(mu, secants[-1])
+            expected = x + kappa / (kappa + lam) * (y - y_prev)
+            assert np.linalg.norm(start - expected) <= 1e-12 * np.linalg.norm(expected)
+            x_prev, g_prev = x, grad
+        # the run exercises the clamp, the secant and a step that kept lam
+        assert min(secants) < mu < max(secants)
+        assert len(secants) < len(calls) - 1
+
+    @pytest.mark.parametrize("arm", ["gd", "svrg"])
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_does_not_write_into_x0(self, arm, accelerated):
+        prob = make_ridge(d=10, m=40, cond=1000.0, seed=5).problem
+        x0 = RandomStream(70).normal(10)
+        x0_copy = x0.copy()
+        kappa = choose_kappa(prob, arm) if accelerated else 0.0
+        catalyst_run(prob, inner_method(arm), kappa, x0, outer_iters=50, eps=1e-9)
+        assert np.array_equal(x0, x0_copy)
+
+    def test_svrg_work_on_ill_conditioned_ridge(self):
+        # the catalyst_ridge benchmark's svrg solve reaches the gap after
+        # 534,500 gradients started at the prox center, 134,500 started at
+        # the predicted solution
+        inst = make_ridge(d=50, m=500, cond=1e4, seed=0)
+        prob = inst.problem
+        rep = catalyst_run(prob, inner_method("svrg"), choose_kappa(prob, "svrg"),
+                           RandomStream(0, stream_id=90).normal(50),
+                           outer_iters=1000, eps=1e-7,
+                           rng=RandomStream(0, stream_id=17))
+        evals = next(ev for obj, ev in zip(rep.objective_history, rep.evals_history)
+                     if obj - inst.optimum_value <= 1e-6)
+        assert evals <= 200_000
 
 
 def _lasso_proxlinear():

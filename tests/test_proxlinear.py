@@ -321,7 +321,7 @@ class TestProxlinearRun:
         inst = make_lasso(d=10, m=25, lam=0.1, seed=3)
         rep = proxlinear_run(inst.problem, np.zeros(10), outer_iters=20,
                              stat_tol=0.0)
-        assert rep.evals_history == [3 * t + 2 for t in range(20)]
+        assert list(rep.evals_history) == [3 * t + 2 for t in range(20)]
         assert rep.oracle_calls == {"value": 20, "grad": 20, "g_prox": 20}
 
 
