@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, NonconvexSubproblem
 from .oracles import CompositeProblem, ShiftedQuadraticProx, SmoothPlusProx, euclidean_norm
-from .proxlinear import _GAP_FLOOR, proxlinear_run
+from .proxlinear import _stop_gap, proxlinear_run
 from .report import SolverReport, calls_since
 
 
@@ -138,7 +138,7 @@ def _prox_composite(f: CompositeProblem, nu, z, inner_tol, budget):
     beta = max(f.L * f.beta, 1e-12)
     rep = proxlinear_run(
         shifted, z, beta=beta, outer_iters=budget, stat_tol=inner_tol,
-        inner_tol=max(_GAP_FLOOR, 5e-3 * inner_tol**2 / beta),
+        inner_tol=_stop_gap(inner_tol, beta),
     )
     residual = rep.stationarity_history[-1]
     if len(rep.stationarity_history) == budget:

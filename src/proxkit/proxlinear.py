@@ -53,6 +53,13 @@ _FIRST_INNER_TOL = 1e-6
 # so a smaller request only ends on PDHG's stall exit.
 _GAP_FLOOR = 16 * np.finfo(float).eps
 
+
+def _stop_gap(stat_tol, beta):
+    """Gap a stop at surrogate norm stat_tol needs: a gap delta leaves the
+    scaled step off by about sqrt(2 beta delta), an order of magnitude
+    below stat_tol at this delta, and never below _GAP_FLOOR."""
+    return max(_GAP_FLOOR, 5e-3 * stat_tol**2 / beta)
+
 # PDHG linesearch: a trial step is accepted when r tau^2 ||K^T du||^2 <=
 # delta^2 ||du||^2 with delta = 0.99, and otherwise shrunk by 0.7.
 _DELTA_SQ = 0.99 * 0.99
@@ -268,7 +275,7 @@ def proxlinear_run(
 
     dual = None
     gap_tol = max(inner_tol, _FIRST_INNER_TOL)
-    gap_floor = min(inner_tol, max(_GAP_FLOOR, 5e-3 * stat_tol**2 / beta))
+    gap_floor = min(inner_tol, _stop_gap(stat_tol, beta))
     for t in range(outer_iters):
         x_next, surr, dual = proxlinear_step(
             problem, x, beta, inner_tol=gap_tol, warm_dual=dual

@@ -25,7 +25,9 @@ class SolverReport:
     cumulative oracle-call count at each recorded iteration, is monotone.
     The histories are typed arrays, 8 bytes a value: ``array("d")`` for
     the objective and stationarity, ``array("q")`` for the evaluation
-    count and the iteration index.
+    count and the iteration index.  An array is never ``==`` to a list,
+    and ``+`` with a list raises ``TypeError``; compare or concatenate
+    ``list(history)``.
     """
 
     objective_history: array = field(default_factory=lambda: array("d"))

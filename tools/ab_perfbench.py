@@ -3,14 +3,15 @@
 Usage, from anywhere::
 
     python3 tools/ab_perfbench.py --base OLD_TREE --change NEW_TREE \\
-        --workload catalyst_ridge --pairs 10 --seconds 20 --out ab.json
+        --workload catalyst_ridge --out ab.json
 
 Each tree is a plain copy of the repository (``git archive REV | tar -x``),
 so each side imports proxkit from its own ``src/``.  For every workload the
-script makes ``--pairs`` pairs of ``perfbench/run.py --trace 0`` runs, one
+script makes ``PAIRS`` pairs of ``perfbench/run.py --trace 0`` runs, one
 from each tree, and alternates which side runs first.  Pair k uses
-``--seed k``; the seed only orders a workload's solves.  It then makes one
-``--trace 1`` run per side, for the per-layer counts.
+``--seed k``; the seed only orders a workload's solves.  Every run keeps
+the benchmark's own run length.  It then makes one ``--trace 1`` run per
+side, for the per-layer counts.
 
 The JSON it writes holds every run's end-to-end metrics in the order they
 ran and, per metric, each side's median and quartiles and the number of
@@ -30,11 +31,14 @@ import subprocess
 import sys
 import time
 
+# Pairs per workload: the fewest on which "wins at least nine in ten" can
+# be read.
+PAIRS = 10
 
-def _run(tree, workload, seed, seconds, trace):
+
+def _run(tree, workload, seed, trace):
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
-           "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                          timeout=3600)
     lines = out.stdout.strip().splitlines()
@@ -71,8 +75,6 @@ def main(argv=None):
     ap.add_argument("--base", required=True, help="source tree of the parent")
     ap.add_argument("--change", required=True, help="source tree of the change")
     ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
@@ -81,20 +83,20 @@ def main(argv=None):
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
-    report = {"pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
+    report = {"pairs": PAIRS, "workloads": {}}
     for workload in args.workload:
         pairs = []
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
             pair = {"seed": k, "first": order[0]}
             for side in order:
                 t0 = time.time()
-                pair[side] = _run(trees[side], workload, k, args.seconds, 0)
+                pair[side] = _run(trees[side], workload, k, 0)
                 pair[side]["wall_s"] = time.time() - t0  # the whole run
             pairs.append(pair)
             print("%s pair %d: %s" % (workload, k, json.dumps(
                 {s: pair[s]["metrics"] for s in ("base", "change")})), flush=True)
-        traced = {side: _run(trees[side], workload, 0, args.seconds, 1)
+        traced = {side: _run(trees[side], workload, 0, 1)
                   for side in ("base", "change")}
         report["workloads"][workload] = {
             "runs": pairs, "summary": _summary(pairs, better), "traced": traced}
