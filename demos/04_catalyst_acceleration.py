@@ -10,26 +10,29 @@ into roughly O(sqrt(beta/mu)) measured in component gradient
 evaluations.
 """
 
+import math
+
 import numpy as np
 
-from proxkit import (
-    RandomStream,
-    acceleration_ratio,
-    catalyst_run,
-    choose_kappa,
-    inner_method,
-    make_ridge,
-)
+from proxkit import RandomStream, catalyst_run, choose_kappa, inner_method, make_ridge
 
 inst = make_ridge(d=50, m=500, cond=1e4, seed=0)
 prob = inst.problem
 print("ridge: d=50, m=500, condition number beta/mu = %.0f"
       % (prob.beta_i / prob.mu))
 
+
+def gd_ratio(kappa):
+    """sqrt(mu + kappa) / (tau sqrt(mu)), with gd's linear rate
+    tau = (mu + kappa) / (beta + kappa) on the subproblem: the quantity
+    choose_kappa minimizes."""
+    tau = (prob.mu + kappa) / (prob.beta_i + kappa)
+    return math.sqrt(prob.mu + kappa) / (tau * math.sqrt(prob.mu))
+
+
 kappa = choose_kappa(prob, "gd")
 print("chosen kappa = %.4g  (acceleration ratio %.1f, vs %.1f at kappa=0)"
-      % (kappa, acceleration_ratio(prob, kappa, "gd"),
-         acceleration_ratio(prob, 1e-12 * prob.beta_i, "gd")))
+      % (kappa, gd_ratio(kappa), gd_ratio(1e-12 * prob.beta_i)))
 
 x0 = RandomStream(0, stream_id=90).normal(50)
 target_gap = 1e-6

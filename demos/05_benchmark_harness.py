@@ -31,9 +31,10 @@ seeds = 0, 1, 2
 cfg = parse_config_text(CONFIG)
 print("\nconfig sha256:", cfg.sha256[:16], "...")
 
-out = os.path.join(tempfile.mkdtemp(), "lasso-bench")
+tmp = tempfile.mkdtemp()
+out = os.path.join(tmp, "lasso-bench")
 result = run_experiment(cfg, out, jobs=2)
-print("bundle written to", out)
+print("bundle written to", os.path.relpath(out, tmp))
 print("files:", sorted(os.listdir(out)))
 
 print("\n-- head of solver_seed0.csv --")

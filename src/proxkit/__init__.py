@@ -22,7 +22,6 @@ from .catalyst import (
     FiniteSumProblem,
     InnerMethod,
     Subproblem,
-    acceleration_ratio,
     catalyst_run,
     choose_kappa,
     inner_method,
@@ -30,12 +29,7 @@ from .catalyst import (
     prox_gd_run,
     svrg_run,
 )
-from .core import (
-    check_adjoint_consistency,
-    check_weak_convexity,
-    finite_difference_gradient,
-    operator_norm,
-)
+from .core import finite_difference_gradient, operator_norm
 from .errors import (
     BudgetExceeded,
     ConfigError,
@@ -62,7 +56,6 @@ from .pgsg import PgsgSchedule, StochasticProblem, default_schedule, pgsg_run
 from .problems import (
     GENERATORS,
     SyntheticInstance,
-    load_instance,
     make_box_nls,
     make_erm_logistic,
     make_lasso,
@@ -70,13 +63,11 @@ from .problems import (
     make_ridge,
     make_robust_pca,
     make_z2_sync,
-    save_instance,
 )
 from .proxlinear import (
     RateEstimate,
     SurrogateGradient,
     estimate_local_rate,
-    model_value,
     proxlinear_run,
     proxlinear_step,
 )

@@ -126,12 +126,12 @@ def _finite_sum_runner(inner_name):
 
 
 def _keyword_params(fn, **defaults) -> dict:
-    """fn's parameters that have a default, less ``rng`` and ``projector``,
-    which the harness sets, plus the required ones named in ``defaults``
-    with those defaults (None: the runner works the value out)."""
+    """fn's parameters that have a default, less ``rng``, which the
+    harness sets, plus the required ones named in ``defaults`` with those
+    defaults (None: the runner works the value out)."""
     sig = inspect.signature(fn, eval_str=True).parameters
     params = {k: p for k, p in sig.items()
-              if p.default is not p.empty and k not in ("rng", "projector")}
+              if p.default is not p.empty and k != "rng"}
     params.update((k, sig[k].replace(default=d)) for k, d in defaults.items())
     return params
 

@@ -234,49 +234,37 @@ def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
 
 @dataclass
 class InnerMethod:
-    """A linearly convergent subproblem solver plus its rate model tau(kappa)."""
+    """A linearly convergent subproblem solver and its name; ``run`` has
+    the signature of :func:`prox_gd_run`."""
 
     name: str
     run: Callable
-    tau_model: Callable[[FiniteSumProblem, float], float]
-
-
-def _tau_gd(problem: FiniteSumProblem, kappa: float) -> float:
-    return (problem.mu + kappa) / (problem.beta_i + kappa)
-
-
-def _tau_svrg(problem: FiniteSumProblem, kappa: float) -> float:
-    # reciprocal of the (m + condition-number) epoch-complexity heuristic
-    return 1.0 / (problem.m + (problem.beta_i + kappa) / (problem.mu + kappa))
 
 
 def inner_method(name: str) -> InnerMethod:
     table = {
-        "gd": InnerMethod("gd", prox_gd_run, _tau_gd),
-        "svrg": InnerMethod("svrg", svrg_run, _tau_svrg),
+        "gd": InnerMethod("gd", prox_gd_run),
+        "svrg": InnerMethod("svrg", svrg_run),
     }
     if name not in table:
         raise ValueError("unknown inner method %r" % name)
     return table[name]
 
 
-def acceleration_ratio(problem: FiniteSumProblem, kappa: float, inner_name: str) -> float:
-    """sqrt(mu + kappa) / (tau(kappa) sqrt(mu)), the quantity the outer
-    parameter kappa should minimize."""
-    tau = inner_method(inner_name).tau_model(problem, kappa)
-    return math.sqrt(problem.mu + kappa) / (tau * math.sqrt(problem.mu))
-
-
 def choose_kappa(problem: FiniteSumProblem, inner_name: str) -> float:
-    """Closed-form kappa for each shipped tau model.
+    """Closed-form kappa for each shipped inner method.
 
-    For gd it is the minimizer of the acceleration ratio,
-    kappa = beta - 2 mu (floored near 0).  For svrg it is
-    (beta - mu) / (m + 1), which makes the subproblem condition number
-    about m: that is the ratio's minimizing value of mu + kappa, so kappa
-    sits mu above the minimizer and the ratio exceeds its minimum by about
-    (mu / kappa)^2 / 8, relative.  It is 0 when m >= beta/mu, since
-    acceleration cannot help there.
+    kappa should minimize the acceleration ratio
+    sqrt(mu + kappa) / (tau sqrt(mu)), with tau the inner method's rate
+    on the subproblem: (mu + kappa) / (beta + kappa) for gd and, for svrg,
+    1 / (m + (beta + kappa) / (mu + kappa)), the reciprocal of its
+    epoch-complexity heuristic.  For gd that is kappa = beta - 2 mu
+    (floored near 0).  For svrg it is (beta - mu) / (m + 1), which makes
+    the subproblem condition number about m: that is the ratio's
+    minimizing value of mu + kappa, so kappa sits mu above the minimizer
+    and the ratio exceeds its minimum by about (mu / kappa)^2 / 8,
+    relative.  It is 0 when m >= beta/mu, since acceleration cannot help
+    there.
     """
     mu, beta, m = problem.mu, problem.beta_i, problem.m
     if inner_name == "gd":

@@ -48,9 +48,6 @@ class Zero:
     def prox(self, nu, z):
         return np.asarray(z, dtype=float).copy()
 
-    def subgrad(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
 
 class L1Norm:
     """g(x) = weight * sum_i |x_i|.  Prox is the soft threshold.
@@ -73,9 +70,6 @@ class L1Norm:
         t = nu * self.weight
         z = np.asarray(z, dtype=float)
         return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-
-    def subgrad(self, x):
-        return self.weight * np.sign(np.asarray(x, dtype=float))
 
     def dual_project(self, u):
         return _clip(u, self.weight)
@@ -102,9 +96,6 @@ class L1Mean:
         z = np.asarray(z, dtype=float)
         return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
-    def subgrad(self, r):
-        return np.sign(np.asarray(r, dtype=float)) / self.m
-
     def dual_project(self, u):
         return _clip(u, 1.0 / self.m)
 
@@ -124,13 +115,6 @@ class L2Norm:
         if nz <= nu:
             return np.zeros_like(z)
         return (1.0 - nu / nz) * z
-
-    def subgrad(self, r):
-        r = np.asarray(r, dtype=float)
-        nr = euclidean_norm(r)
-        if nr == 0.0:
-            return np.zeros_like(r)
-        return r / nr
 
     def dual_project(self, u):
         u = np.asarray(u, dtype=float)
@@ -160,9 +144,6 @@ class BoxIndicator:
     def prox(self, nu, z):
         return np.clip(np.asarray(z, dtype=float), self.lower, self.upper)
 
-    def project(self, z):
-        return self.prox(1.0, z)
-
 
 class SquaredL2:
     """f(x) = (weight/2) ||x||^2."""
@@ -178,9 +159,6 @@ class SquaredL2:
 
     def prox(self, nu, z):
         return np.asarray(z, dtype=float) / (1.0 + nu * self.weight)
-
-    def subgrad(self, x):
-        return self.weight * np.asarray(x, dtype=float)
 
 
 class ShiftedQuadraticProx:
@@ -266,15 +244,6 @@ class CompositeProblem:
     def c_vjp(self, x, u):
         self.counters["c_vjp"] += 1
         return self.c.vjp(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-
-    def subgrad(self, x) -> np.ndarray:
-        """A subgradient of F at x via the chain rule (g must be smooth
-        or have a subgrad method)."""
-        u = self.h.subgrad(self.c_eval(x))
-        v = self.c_vjp(x, u)
-        if hasattr(self.g, "subgrad"):
-            v = v + self.g.subgrad(x)
-        return v
 
 
 class SmoothPlusProx:

@@ -10,12 +10,12 @@ running average of the inner iterates.
 Every step direction v must be finite.  The inner loop does not test each
 v; it adds them into a running sum and tests that sum once per outer step
 (a NaN or inf in any v leaves it non-finite).  When the sum is not finite,
-or the oracle or projector raises mid-step, the outer step is replayed
-from x_t on the same draws with a test on every v, which finds the first
-failing inner step j and raises OracleFailure for (t, j) as a per-step
-test would.  A replay that finds no bad v means the sum itself overflowed
-(the run goes on, and NumPy warns of the overflow) or the exception came
-first (it is re-raised).
+or the oracle raises mid-step, the outer step is replayed from x_t on the
+same draws with a test on every v, which finds the first failing inner
+step j and raises OracleFailure for (t, j) as a per-step test would.  A
+replay that finds no bad v means the sum itself overflowed (the run goes
+on, and NumPy warns of the overflow) or the exception came first (it is
+re-raised).
 """
 
 from __future__ import annotations
@@ -92,8 +92,7 @@ class _NonFiniteStep(OracleFailure):
     """A replayed inner step produced a non-finite v."""
 
 
-def _inner_loop(subgrad, two_rho, alphas, projector, x, zetas, t, counters,
-                check):
+def _inner_loop(subgrad, two_rho, alphas, x, zetas, t, counters, check):
     """The inner steps of outer step t from center x, one per draw.
 
     Returns the sum of the iterates y_0 .. y_n and the sum of the step
@@ -118,8 +117,6 @@ def _inner_loop(subgrad, two_rho, alphas, projector, x, zetas, t, counters,
             vsum += v
             v *= alphas[j]
             y = y - v
-            if projector is not None:
-                y = projector.project(y)
             acc += y
     finally:
         counters["stoch_subgrad"] += j + 1
@@ -144,7 +141,6 @@ def pgsg_run(
     outer_iters: int,
     schedule: PgsgSchedule,
     rng: RandomStream,
-    projector=None,
     stat_every: int = 1,
 ) -> SolverReport:
     """Run the method for ``outer_iters`` outer steps.
@@ -188,7 +184,7 @@ def pgsg_run(
         if j_t < 1:
             raise ValueError("inner count must be >= 1")
         zetas = problem.presample(rng, max(j_t - 1, 0)).tolist()
-        args = (subgrad, two_rho, alphas, projector, x, zetas, t, counters)
+        args = (subgrad, two_rho, alphas, x, zetas, t, counters)
         try:
             acc, vsum = _inner_loop(*args, check=False)
         except Exception:

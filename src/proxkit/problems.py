@@ -8,8 +8,6 @@ computed matrix-free.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,7 +32,6 @@ from .rng import RandomStream
 class SyntheticInstance:
     name: str
     problem: object
-    generator_config: dict
     arrays: dict = field(default_factory=dict)
     ground_truth: Optional[np.ndarray] = None
     optimum_value: Optional[float] = None
@@ -117,7 +114,6 @@ def make_phase_retrieval(d: int, m: int, outlier_frac: float = 0.0,
     return SyntheticInstance(
         name="phase_retrieval",
         problem=problem,
-        generator_config={"d": d, "m": m, "outlier_frac": outlier_frac, "seed": seed},
         arrays={"A": A, "b": b},
         ground_truth=xbar,
         optimum_value=0.0 if n_out == 0 else None,
@@ -171,8 +167,6 @@ def make_robust_pca(mrows: int, ncols: int, r: int, sparsity: float = 0.0,
     return SyntheticInstance(
         name="robust_pca",
         problem=problem,
-        generator_config={"mrows": mrows, "ncols": ncols, "r": r,
-                          "sparsity": sparsity, "seed": seed},
         arrays={"M": M, "Ubar": Ubar, "Vbar": Vbar, "S": S},
         ground_truth=truth,
         optimum_value=0.0 if n_sparse == 0 else None,
@@ -219,8 +213,6 @@ def make_z2_sync(d: int, edge_prob: float = 1.0, flip_prob: float = 0.0,
     return SyntheticInstance(
         name="z2_sync",
         problem=problem,
-        generator_config={"d": d, "edge_prob": edge_prob,
-                          "flip_prob": flip_prob, "seed": seed},
         arrays={"edges_i": ei, "edges_j": ej, "obs": obs,
                 "theta_bar": theta_bar.astype(float),
                 "flips": flips.astype(np.int64)},
@@ -258,7 +250,6 @@ def make_box_nls(d: int, m: int, seed: int = 0) -> SyntheticInstance:
     return SyntheticInstance(
         name="box_nls",
         problem=problem,
-        generator_config={"d": d, "m": m, "seed": seed},
         arrays={"Q": Q, "q": q, "r0": r0, "lower": lower, "upper": upper},
         ground_truth=root,
         optimum_value=0.0,
@@ -288,7 +279,6 @@ def make_lasso(d: int, m: int, lam: float = 0.1, seed: int = 0) -> SyntheticInst
     return SyntheticInstance(
         name="lasso",
         problem=problem,
-        generator_config={"d": d, "m": m, "lam": lam, "seed": seed},
         arrays={"A": A, "b": b},
         ground_truth=x_sparse,
     )
@@ -345,7 +335,6 @@ def make_ridge(d: int, m: int, cond: float = 1e4, seed: int = 0) -> SyntheticIns
     return SyntheticInstance(
         name="ridge",
         problem=problem,
-        generator_config={"d": d, "m": m, "cond": cond, "seed": seed},
         arrays={"A": A, "b": b},
         ground_truth=opt,
         optimum_value=full_value(opt),
@@ -409,7 +398,6 @@ def make_erm_logistic(d: int, m: int, mu: float = 1e-2, seed: int = 0) -> Synthe
     return SyntheticInstance(
         name="erm_logistic",
         problem=problem,
-        generator_config={"d": d, "m": m, "mu": mu, "seed": seed},
         arrays={"A": A, "b": b},
         ground_truth=w_opt,
         optimum_value=full_value(w_opt),
@@ -426,44 +414,3 @@ GENERATORS = {
     "erm_logistic": make_erm_logistic,
 }
 
-
-# ---------------------------------------------------------------------------
-# Serialization: versioned binary container with a human-readable header.
-# Generators are pure, so the loader rebuilds the instance from its config
-# and verifies the stored arrays bit for bit.
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"PROXKIT-INSTANCE-v1\n"
-
-
-def save_instance(inst: SyntheticInstance, path: str) -> None:
-    header = json.dumps(
-        {"format_version": 1, "name": inst.name,
-         "generator_config": inst.generator_config,
-         "arrays": sorted(inst.arrays)},
-        sort_keys=True,
-    )
-    buf = io.BytesIO()
-    np.savez(buf, **inst.arrays)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(header.encode("utf-8") + b"\n")
-        fh.write(buf.getvalue())
-
-
-def load_instance(path: str) -> SyntheticInstance:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError("not a proxkit instance container: %s" % path)
-        header = json.loads(fh.readline().decode("utf-8"))
-        payload = fh.read()
-    name = header["name"]
-    if name not in GENERATORS:
-        raise ValueError("unknown generator %r in container" % name)
-    inst = GENERATORS[name](**header["generator_config"])
-    stored = np.load(io.BytesIO(payload))
-    for key in header["arrays"]:
-        if not np.array_equal(stored[key], inst.arrays[key]):
-            raise ValueError("array %r does not match its regenerated value" % key)
-    return inst

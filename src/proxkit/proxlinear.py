@@ -78,15 +78,6 @@ class SurrogateGradient:
     gap: float
 
 
-def model_value(problem: CompositeProblem, y, x) -> float:
-    """Value of the local convex model anchored at y, evaluated at x."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    c0 = problem.c_eval(y)
-    lin = c0 + problem.c_jvp(y, x - y)
-    return problem.g.value(x) + problem.h.value(lin)
-
-
 def _solve_model_subproblem(
     problem: CompositeProblem,
     x_t: np.ndarray,

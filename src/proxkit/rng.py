@@ -1,4 +1,4 @@
-"""Splittable, counter-based random streams.
+"""Keyed, counter-based random streams.
 
 All randomness in the toolkit flows through :class:`RandomStream`, a thin
 wrapper around numpy's Philox counter-based generator. Philox is fully
@@ -31,10 +31,6 @@ class RandomStream:
         key = self.seed | (self.stream_id << 64)
         self._bitgen = np.random.Philox(key=key)
         self._gen = np.random.Generator(self._bitgen)
-
-    def split(self, stream_id: int) -> "RandomStream":
-        """New independent stream with the same seed."""
-        return RandomStream(self.seed, stream_id)
 
     def normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)

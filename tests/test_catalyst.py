@@ -12,7 +12,6 @@ from proxkit import (
     RandomStream,
     Subproblem,
     Zero,
-    acceleration_ratio,
     catalyst_run,
     choose_kappa,
     default_schedule,
@@ -113,6 +112,17 @@ class TestMomentum:
             momentum_update(0.0, 0.5)
         with pytest.raises(ValueError):
             momentum_update(0.5, 1.5)
+
+
+def acceleration_ratio(prob, kappa, name):
+    """sqrt(mu + kappa) / (tau sqrt(mu)), the ratio choose_kappa
+    minimizes, with the inner method's rate tau on the subproblem."""
+    mu, beta = prob.mu, prob.beta_i
+    if name == "gd":
+        tau = (mu + kappa) / (beta + kappa)
+    else:  # reciprocal of svrg's (m + condition number) epoch complexity
+        tau = 1.0 / (prob.m + (beta + kappa) / (mu + kappa))
+    return math.sqrt(mu + kappa) / (tau * math.sqrt(mu))
 
 
 class TestChooseKappa:

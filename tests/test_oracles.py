@@ -141,15 +141,7 @@ class TestCompositeProblem:
         prob, _ = self._problem()
         x = np.zeros(3)
         prob.value(x)
-        prob.subgrad(x)
+        prob.c_eval(x)
+        prob.c_vjp(x, np.ones(6))
         assert prob.counters["c_eval"] == 2
         assert prob.counters["c_vjp"] == 1
-
-    def test_subgrad_inequality_convex_case(self):
-        # with beta = 0 the composite is convex: F(y) >= F(x) + <v, y-x>
-        prob, _ = self._problem()
-        rng = RandomStream(24)
-        for _ in range(40):
-            x, y = rng.normal(3), rng.normal(3)
-            v = prob.subgrad(x)
-            assert prob.value(y) >= prob.value(x) + float(v @ (y - x)) - 1e-10

@@ -16,7 +16,6 @@ from proxkit import (
     make_lasso,
     make_phase_retrieval,
     make_robust_pca,
-    model_value,
     proxlinear_run,
     proxlinear_step,
     prox_map,
@@ -35,15 +34,6 @@ def linear_l1mean_problem(seed=41, d=4, m=7):
         vjp=lambda x, u: A.T @ u, beta=0.0, dim_in=d, dim_out=m,
     )
     return CompositeProblem(Zero(), L1Mean(m), c), A, b
-
-
-class TestModelValue:
-    def test_model_is_exact_for_affine_inner_map(self):
-        prob, _, _ = linear_l1mean_problem()
-        rng = RandomStream(42)
-        for _ in range(10):
-            y, x = rng.normal(4), rng.normal(4)
-            assert abs(model_value(prob, y, x) - prob.value(x)) < 1e-12
 
 
 class TestModelSubproblem:

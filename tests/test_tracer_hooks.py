@@ -1,0 +1,53 @@
+"""The benchmark's tracer installs on the library and comes off cleanly.
+
+perfbench/tracing.py rebinds library entry points by name and wraps the
+oracles of the instances the generators build, so deleting or renaming
+one of those names breaks the traced benchmark.  This test notices that
+without running the benchmark.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import proxkit
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _library_bindings():
+    return {(name, attr): value
+            for name, mod in list(sys.modules.items())
+            if name == "proxkit" or name.startswith("proxkit.")
+            for attr, value in vars(mod).items()}
+
+
+def test_install_wraps_instances_and_remove_restores_every_binding():
+    before = _library_bindings()
+    generators = dict(proxkit.GENERATORS)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        during = _library_bindings()
+        # phase retrieval has a stochastic part, ridge is a finite sum
+        pr = proxkit.GENERATORS["phase_retrieval"](d=5, m=30, outlier_frac=0.1, seed=0)
+        ridge = proxkit.GENERATORS["ridge"](d=5, m=20, cond=100.0, seed=0)
+    finally:
+        tracer.remove()
+    rebound = {key[1] for key, value in before.items() if during[key] is not value}
+    assert {"proxlinear_step", "operator_norm", "prox_map", "pgsg_run",
+            "catalyst_run", "inner_method"} <= rebound
+    assert pr.stochastic is not None
+    assert [id(i) for i in tracer.instances] == [id(pr), id(ridge)]
+    after = _library_bindings()
+    changed = [key for key, value in before.items() if after.get(key) is not value]
+    assert changed == []
+    assert proxkit.GENERATORS == generators  # functions compare by identity
