@@ -2,8 +2,8 @@
 problem.
 
 Catalyst wraps any linearly convergent inner method in an inexact
-accelerated proximal point loop: each outer step solves the
-kappa-regularized subproblem to a geometrically shrinking accuracy and
+accelerated proximal point loop: each outer step takes one inner step on
+the kappa-regularized subproblem, started at its predicted solution, and
 applies a Nesterov extrapolation.  On a mu-strongly convex problem with
 component smoothness beta, the right kappa turns gd's O(beta/mu) rate
 into roughly O(sqrt(beta/mu)) measured in component gradient
@@ -47,10 +47,10 @@ def evals_to_gap(rep):
 
 
 runs = {}
-for label, kap, budget in [("catalyst-gd", kappa, 10**8),
-                           ("plain gd", 0.0, 10**9)]:
+for label, kap in [("catalyst-gd", kappa), ("plain gd", 0.0)]:
+    # inner_budget bounds only the kappa = 0 run
     rep = catalyst_run(prob, inner_method("gd"), kap, x0,
-                       outer_iters=5000, eps=1e-7, inner_budget=budget)
+                       outer_iters=5000, eps=1e-7, inner_budget=10**9)
     runs[label] = rep
     print("%-12s  final gap %.2e  component-grad evals to gap %.0e: %s"
           % (label, rep.objective_history[-1] - fstar, target_gap,

@@ -49,7 +49,6 @@ from .oracles import (
     L2Norm,
     SmoothMap,
     SmoothPlusProx,
-    SquaredL2,
     Zero,
 )
 from .pgsg import PgsgSchedule, StochasticProblem, default_schedule, pgsg_run

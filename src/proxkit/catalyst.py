@@ -23,8 +23,9 @@ s = x_t - x_{t-1} != 0, is the Barzilai-Borwein secant
 
     lambda = max(mu, <grad f(x_t) - grad f(x_{t-1}), s> / ||s||^2),
 
-from gradients the loop already has.  Any start is safe, since every
-inner stop is certified.
+from gradients the loop already has.  Each inner solve then runs a fixed
+budget with no stopping test, criterion (C3) of the same paper; the outer
+stop, a bound from the full gradient at x_t, certifies the result.
 
 Complexity is counted in individual component-gradient evaluations.
 """
@@ -136,12 +137,13 @@ def momentum_update(alpha_prev: float, q: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Inner methods.  Each solves a Subproblem in function value to a
-# certified accuracy and returns (x, bound, grad): the solution, its
-# certified gap, and the subproblem gradient at x (so callers can derive
-# the outer gradient for free).  The component gradients spent are counted
-# in the problem's ``counters``.  The certificate uses the strong
-# convexity bound value(x) - value* <= ||gradient mapping||^2 / (2 mu).
+# Inner methods.  Each runs on a Subproblem until a point's certified gap
+# meets the target accuracy or the budget is spent, and returns there
+# (x, bound, grad): the point, its gap, and the subproblem gradient at x
+# (so callers can derive the outer gradient for free); the caller judges
+# the bound.  Component gradients are counted in the problem's
+# ``counters``.  The certificate uses the strong convexity bound
+# value(x) - value* <= ||gradient mapping||^2 / (2 mu).
 # ---------------------------------------------------------------------------
 
 def _certified_bound(sub: Subproblem, x, grad):
@@ -157,7 +159,8 @@ def _certified_bound(sub: Subproblem, x, grad):
 
 def prox_gd_run(sub: Subproblem, warm_start, target_accuracy, budget, rng=None, trace=None):
     """Proximal gradient with step 1/beta on the subproblem; with g = 0
-    (``Zero.prox`` copies its argument) it is gradient descent."""
+    (``Zero.prox`` copies its argument) it is gradient descent.  Returns
+    at the first gradient that meets the target or spends ``budget``."""
     x = np.asarray(warm_start, dtype=float).copy()
     g = sub.problem.g
     step = 1.0 / sub.beta
@@ -168,13 +171,9 @@ def prox_gd_run(sub: Subproblem, warm_start, target_accuracy, budget, rng=None, 
         bound = _certified_bound(sub, x, grad)
         if trace is not None:
             trace.append((counters["grad_i"], sub.problem.value(x)))
-        if bound <= target_accuracy:
-            break
-        if counters["grad_i"] - calls0 >= budget:
-            raise BudgetExceeded("prox_gd inner budget exhausted",
-                                 best_point=x, achieved=bound)
+        if bound <= target_accuracy or counters["grad_i"] - calls0 >= budget:
+            return x, bound, grad
         x = g.prox(step, x - step * grad)
-    return x, bound, grad
 
 
 def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
@@ -185,7 +184,8 @@ def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
     Anchor component gradients are cached during the anchor pass, so each
     stochastic draw costs exactly one fresh gradient evaluation and the
     total count is m * (full passes) + (stochastic draws).  The certified
-    bound is evaluated at each anchor, where the full gradient is free.
+    bound is evaluated at each anchor, where the full gradient is free; it
+    returns at the first anchor that meets the target or spends ``budget``.
 
     The step x - eta (g_i(x) - G_i + mean + kappa (x - center)) is taken as
     (1 - eta kappa) x - eta g_i(x) + S_i, S_i = eta (G_i - mean + kappa
@@ -212,11 +212,8 @@ def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
         bound = _certified_bound(sub, anchor, full)
         if trace is not None:
             trace.append((counters["grad_i"], prob.value(anchor)))
-        if bound <= target_accuracy:
+        if bound <= target_accuracy or counters["grad_i"] - calls0 >= budget:
             return anchor, bound, full
-        if counters["grad_i"] - calls0 >= budget:
-            raise BudgetExceeded("svrg inner budget exhausted",
-                                 best_point=anchor, achieved=bound)
         rows = list(eta * (anchor_grads + (kappa * center - mean_anchor)))
         idx = rng.integers(0, m, size=m).tolist()
         k = -1
@@ -288,14 +285,15 @@ def catalyst_run(
 ) -> SolverReport:
     """Accelerated outer loop; counts total component-gradient evaluations.
 
-    Subproblem target accuracies follow the geometric schedule
-    eps_t = C (1 - 0.9 sqrt(q))^t with C an initial optimality-gap
-    estimate from the strong convexity bound at x0.  Each subproblem
-    starts at its predicted solution (the module docstring gives the
-    rule).
+    Each subproblem starts at its predicted solution (the module
+    docstring gives the rule) with target 0 and a budget of two passes,
+    2 m component gradients: one gd step (a gradient at its start and its
+    result), or one svrg epoch (anchor table, m draws, next anchor table).
 
-    kappa = 0 degenerates to a single call of the inner method on the
-    original problem (q = 1 leaves no extrapolation to do).
+    kappa = 0 degenerates to one call of the inner method on the original
+    problem (q = 1 leaves no extrapolation to do), to ``eps`` within
+    ``inner_budget``, which bounds only this path; a bound left above
+    ``eps`` raises BudgetExceeded.
 
     Evaluations are counted from the start of this run, so runs on a
     shared instance report the same history.  ``oracle_calls`` reports
@@ -312,7 +310,11 @@ def catalyst_run(
     if kappa == 0.0:
         trace = []
         sub = Subproblem(problem, 0.0, x.copy())
-        sol, _, _ = inner.run(sub, x, eps, inner_budget, rng=rng, trace=trace)
+        sol, bound, _ = inner.run(sub, x, eps, inner_budget, rng=rng, trace=trace)
+        if not bound <= eps:
+            name = "prox_gd" if inner.name == "gd" else inner.name
+            raise BudgetExceeded("%s inner budget exhausted" % name,
+                                 best_point=sol, achieved=bound)
         for t, (evals, val) in enumerate(trace):
             report.record(t, val, np.nan, evals - start["grad_i"])
         report.solution = sol
@@ -328,19 +330,9 @@ def catalyst_run(
     lam = mu
 
     g_prev = problem.full_gradient(x)
-    # schedule scale: the valid bound ||grad||^2/(2 mu) is often hundreds
-    # of times above the true gap, which would waste log-many outer
-    # iterations; the geometric mean of the mu- and beta-based bounds is a
-    # schedule heuristic only, so misestimating it is convergence-safe
-    gap_estimate = max(
-        float(g_prev @ g_prev) / (2.0 * math.sqrt(mu * problem.beta_i)), 1e-16
-    )
-    decay = 1.0 - 0.9 * math.sqrt(q)
-
     for t in range(1, outer_iters + 1):
-        target = gap_estimate * decay**t
         sub = Subproblem(problem, kappa, y)
-        x_new, _, sub_grad = inner.run(sub, start_point, target, inner_budget, rng=rng)
+        x_new, _, sub_grad = inner.run(sub, start_point, 0.0, 2 * problem.m, rng=rng)
         # outer gradient from the subproblem gradient, no extra evals
         grad = sub_grad - kappa * (x_new - sub.center)
 

@@ -145,22 +145,6 @@ class BoxIndicator:
         return np.clip(np.asarray(z, dtype=float), self.lower, self.upper)
 
 
-class SquaredL2:
-    """f(x) = (weight/2) ||x||^2."""
-
-    rho = 0.0
-
-    def __init__(self, weight: float = 1.0):
-        self.weight = float(weight)
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * self.weight * float(x @ x)
-
-    def prox(self, nu, z):
-        return np.asarray(z, dtype=float) / (1.0 + nu * self.weight)
-
-
 class ShiftedQuadraticProx:
     """g'(x) = g(x) + ||x - z||^2 / (2 nu), itself prox-friendly.
 

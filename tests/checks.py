@@ -1,6 +1,7 @@
 """Sample-based checks of the claims the problem generators make: that a
 composite is weakly convex with its stated modulus, and that a smooth
-map's vjp is the adjoint of its jvp."""
+map's vjp is the adjoint of its jvp.  Also a closed-form prox function,
+SquaredL2, used as a reference case."""
 
 from dataclasses import dataclass
 
@@ -15,6 +16,22 @@ class WeakConvexityReport:
     violations: int
     worst_gap: float
     trials: int
+
+
+class SquaredL2:
+    """f(x) = (weight/2) ||x||^2."""
+
+    rho = 0.0
+
+    def __init__(self, weight: float = 1.0):
+        self.weight = float(weight)
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 * self.weight * float(x @ x)
+
+    def prox(self, nu, z):
+        return np.asarray(z, dtype=float) / (1.0 + nu * self.weight)
 
 
 def composite_subgrad(prob, x):

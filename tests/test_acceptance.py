@@ -13,7 +13,6 @@ import pytest
 from proxkit import (
     L1Norm,
     RandomStream,
-    SquaredL2,
     catalyst_run,
     choose_kappa,
     default_schedule,
@@ -50,6 +49,8 @@ def _abs_x2_minus_one():
 def test_criterion_1_moreau_gradient_identity():
     """(z - prox)/nu matches the finite-difference gradient of f_nu to
     1e-4 * (1 + ||grad f_nu||) at 50 random points per test function."""
+    from checks import SquaredL2
+
     cases = [
         ("abs", L1Norm(1.0), 0.0, 1, 1e-10, 1e-10),
         ("half_sq", SquaredL2(1.0), 0.0, 1, 1e-10, 1e-10),

@@ -54,11 +54,8 @@ def _textbook_svrg(sub, warm_start, target_accuracy, budget, rng=None, trace=Non
         bound = _certified_bound(sub, anchor, full)
         if trace is not None:
             trace.append((prob.grad_evals, prob.value(anchor)))
-        if bound <= target_accuracy:
+        if bound <= target_accuracy or prob.grad_evals - calls0 >= budget:
             return anchor, bound, full
-        if prob.grad_evals - calls0 >= budget:
-            raise BudgetExceeded("svrg inner budget exhausted",
-                                 best_point=anchor, achieved=bound)
         idx = rng.integers(0, m, size=m)
         for i in idx:
             v = (prob.component_gradient(int(i), x) - anchor_grads[i]
@@ -182,11 +179,38 @@ class TestInnerMethods:
         assert np.linalg.norm(x - ref) < 1e-6
         assert np.allclose(grad, sub.full_gradient(x))
 
-    def test_gd_budget_raises(self):
+    def test_gd_budget_returns_the_point_it_reached(self):
+        # a budget of two passes is one step: a gradient at the start and
+        # one at the result, which the inner method returns
         prob, _, _ = small_quadratic_sum()
         sub = Subproblem(prob, 1.0, np.zeros(4))
-        with pytest.raises(BudgetExceeded):
-            prox_gd_run(sub, np.zeros(4), 1e-16, budget=prob.m * 2)
+        x, bound, grad = prox_gd_run(sub, np.zeros(4), 0.0, budget=2 * prob.m)
+        assert prob.grad_evals == 2 * prob.m
+        step = 1.0 / sub.beta
+        assert np.array_equal(x, -step * sub.full_gradient(np.zeros(4)))
+        assert np.array_equal(grad, sub.full_gradient(x))
+        assert bound == float(grad @ grad) / (2.0 * sub.mu) > 0.0
+
+    def test_gd_budget_raises(self):
+        # the kappa = 0 path is where a spent inner budget is a failure:
+        # one step, then the bound at its result is above eps
+        prob, _, _ = small_quadratic_sum()
+        x0 = np.zeros(4)
+        with pytest.raises(BudgetExceeded) as err:
+            catalyst_run(prob, inner_method("gd"), 0.0, x0, eps=1e-16,
+                         inner_budget=2 * prob.m)
+        assert str(err.value) == "prox_gd inner budget exhausted"
+        grad0 = prob.full_gradient(x0)
+        x1 = x0 - (1.0 / prob.beta_i) * grad0
+        assert np.array_equal(err.value.best_point, x1)
+        grad1 = prob.full_gradient(x1)
+        assert err.value.achieved == float(grad1 @ grad1) / (2.0 * prob.mu)
+
+    def test_svrg_budget_raises(self):
+        prob, _, _ = small_quadratic_sum(m=20, mu=1.0)
+        with pytest.raises(BudgetExceeded, match="^svrg inner budget exhausted$"):
+            catalyst_run(prob, inner_method("svrg"), 0.0, np.zeros(4),
+                         eps=1e-16, inner_budget=2 * prob.m)
 
     def test_prox_gd_hits_l1_optimality(self):
         prob, A, b = small_quadratic_sum(g=L1Norm(0.3))
@@ -223,6 +247,29 @@ class TestInnerMethods:
 
 
 class TestCatalystRun:
+    @pytest.mark.parametrize("arm, passes", [("gd", 2), ("svrg", 3)])
+    def test_each_outer_step_spends_a_fixed_budget(self, arm, passes):
+        # after the starting full gradient, every subproblem costs one gd
+        # step (two gradients) or one svrg epoch (anchor, draws, anchor)
+        prob = make_ridge(d=10, m=40, cond=1000.0, seed=5).problem
+        rep = catalyst_run(prob, inner_method(arm), choose_kappa(prob, arm),
+                           np.zeros(10), outer_iters=30, eps=0.0)
+        m = prob.m
+        assert list(rep.evals_history) == [m + passes * m * t for t in range(1, 31)]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_catalyst_gd_reaches_the_benchmark_target(self, seed):
+        # the catalyst_ridge instances: the run certifies eps and stops
+        # before its outer budget, below the benchmark's 1e-6 gap
+        inst = make_ridge(d=50, m=500, cond=1e4, seed=seed)
+        prob = inst.problem
+        rep = catalyst_run(prob, inner_method("gd"), choose_kappa(prob, "gd"),
+                           RandomStream(seed, stream_id=90).normal(50),
+                           outer_iters=1000, eps=1e-7,
+                           rng=RandomStream(seed, stream_id=17))
+        assert len(rep.evals_history) < 1000
+        assert prob.value(rep.solution) - inst.optimum_value <= 1e-6
+
     def test_kappa_zero_is_passthrough(self):
         inst = make_ridge(d=10, m=40, cond=100.0, seed=1)
         prob = inst.problem
@@ -307,11 +354,11 @@ class TestCatalystRun:
         assert prob.value(rep.solution) - inst.optimum_value < 1e-7
 
 
-def _underclaimed_quadratic_sum(mu):
+def _underclaimed_quadratic_sum(mu, b_scale=1.0):
     """f_i(x) = 0.5 (a_i x - b_i)^2, m = 10, d = 4, with a declared mu above
     the smallest curvature of the average, so the secant can fall below mu."""
     rng = RandomStream(53)
-    A, b = rng.normal((10, 4)), rng.normal(10)
+    A, b = rng.normal((10, 4)), b_scale * rng.normal(10)
     return FiniteSumProblem(
         m=10, grad_i=lambda i, x: (float(A[i] @ x) - b[i]) * A[i],
         value_i=lambda i, x: 0.5 * (float(A[i] @ x) - b[i]) ** 2,
@@ -321,8 +368,7 @@ def _underclaimed_quadratic_sum(mu):
 class TestWarmStart:
     def test_each_subproblem_starts_at_its_predicted_solution(self):
         # step 1 starts at x0; step t+1 at x_t + kappa/(kappa+lam)(y_t - y_{t-1}),
-        # lam the secant of the outer gradients, clamped at mu, kept when
-        # the step did not move
+        # lam the secant of the outer gradients, clamped at mu
         prob = _underclaimed_quadratic_sum(mu=1.0)
         calls = []
 
@@ -350,9 +396,27 @@ class TestWarmStart:
             expected = x + kappa / (kappa + lam) * (y - y_prev)
             assert np.linalg.norm(start - expected) <= 1e-12 * np.linalg.norm(expected)
             x_prev, g_prev = x, grad
-        # the run exercises the clamp, the secant and a step that kept lam
+        # the run exercises the clamp and the secant; every step moved
         assert min(secants) < mu < max(secants)
-        assert len(secants) < len(calls) - 1
+        assert len(secants) == len(calls) - 1
+
+    def test_start_at_the_optimum_keeps_lam(self):
+        # b = 0 and x0 = 0: every subproblem's solution is exactly 0, no
+        # step moves, so there is no secant and lam stays mu; every start
+        # is exactly 0
+        prob = _underclaimed_quadratic_sum(mu=1.0, b_scale=0.0)
+        starts = []
+
+        def recording(sub, warm_start, target, budget, rng=None, trace=None):
+            starts.append(np.array(warm_start))
+            return prox_gd_run(sub, warm_start, target, budget, rng=rng)
+
+        rep = catalyst_run(prob, dataclasses.replace(inner_method("gd"), run=recording),
+                           choose_kappa(prob, "gd"), np.zeros(4),
+                           outer_iters=5, eps=-1.0)
+        assert len(starts) == 5
+        assert all(np.array_equal(x, np.zeros(4)) for x in starts)
+        assert np.array_equal(rep.solution, np.zeros(4))
 
     @pytest.mark.parametrize("arm", ["gd", "svrg"])
     @pytest.mark.parametrize("accelerated", [False, True])
@@ -366,8 +430,7 @@ class TestWarmStart:
 
     def test_svrg_work_on_ill_conditioned_ridge(self):
         # the catalyst_ridge benchmark's svrg solve reaches the gap after
-        # 534,500 gradients started at the prox center, 134,500 started at
-        # the predicted solution
+        # 122,000 gradients
         inst = make_ridge(d=50, m=500, cond=1e4, seed=0)
         prob = inst.problem
         rep = catalyst_run(prob, inner_method("svrg"), choose_kappa(prob, "svrg"),
@@ -432,13 +495,12 @@ def test_proximal_point_counts_fista_prox_steps():
 
 def _run_epochs(run, prob, kappa, center, warm, epochs=1):
     """The anchor ``epochs`` epochs after ``warm``, from fixed draws: the
-    budget runs out at the next anchor, which BudgetExceeded carries."""
+    budget runs out at that anchor, which the run returns."""
     sub = Subproblem(prob, kappa, center)
     before = prob.grad_evals
-    with pytest.raises(BudgetExceeded) as err:
-        run(sub, warm, 0.0, budget=2 * epochs * prob.m,
-            rng=RandomStream(60, stream_id=31))
-    return err.value.best_point, prob.grad_evals - before
+    x, _, _ = run(sub, warm, 0.0, budget=2 * epochs * prob.m,
+                  rng=RandomStream(60, stream_id=31))
+    return x, prob.grad_evals - before
 
 
 def _ridge(d, m, seed):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from checks import SquaredL2
 from proxkit import (
     BudgetExceeded,
     CompositeProblem,
@@ -11,7 +12,6 @@ from proxkit import (
     RandomStream,
     SmoothMap,
     SmoothPlusProx,
-    SquaredL2,
     Zero,
     make_lasso,
     make_phase_retrieval,

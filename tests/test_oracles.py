@@ -4,6 +4,7 @@ minimization of its defining objective."""
 import numpy as np
 import pytest
 
+from checks import SquaredL2
 from proxkit import (
     BoxIndicator,
     CompositeProblem,
@@ -12,7 +13,6 @@ from proxkit import (
     L2Norm,
     RandomStream,
     SmoothMap,
-    SquaredL2,
     Zero,
 )
 from proxkit.oracles import ShiftedQuadraticProx, euclidean_norm
