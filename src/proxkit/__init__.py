@@ -2,8 +2,8 @@
 
 Implements the proximal point iteration on the Moreau envelope, the
 proximally guided stochastic subgradient method, the prox-linear method
-for composite problems, and Catalyst acceleration for regularized
-finite-sum minimization, together with a synthetic problem zoo and a
+for composite problems, and Catalyst acceleration for smooth, strongly
+convex finite sums, together with a synthetic problem zoo and a
 benchmark harness.
 """
 
@@ -24,9 +24,9 @@ from .catalyst import (
     Subproblem,
     catalyst_run,
     choose_kappa,
+    gd_run,
     inner_method,
     momentum_update,
-    prox_gd_run,
     svrg_run,
 )
 from .core import finite_difference_gradient, operator_norm

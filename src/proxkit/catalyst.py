@@ -1,9 +1,8 @@
-"""Catalyst acceleration for regularized finite-sum minimization.
+"""Catalyst acceleration for smooth, strongly convex finite sums.
 
 The outer loop approximately solves kappa-regularized proximal
-subproblems with any linearly convergent inner method (gradient descent,
-proximal gradient, or SVRG are shipped) and extrapolates with
-Nesterov-style momentum:
+subproblems with any linearly convergent inner method (gradient descent
+and SVRG are shipped) and extrapolates with Nesterov-style momentum:
 
     q = mu / (mu + kappa),  alpha_0 = sqrt(q),  y_0 = x_0
     x_t  ~ argmin F(x) + (kappa/2) ||x - y_{t-1}||^2
@@ -17,8 +16,8 @@ x_0, subproblem t+1 at
 
     z = x_t + kappa / (kappa + lambda) (y_t - y_{t-1}),
 
-which is its solution exactly when the smooth part is a quadratic of
-curvature lambda.  lambda starts at mu and, after each step with
+which is its solution exactly when F is a quadratic of curvature
+lambda.  lambda starts at mu and, after each step with
 s = x_t - x_{t-1} != 0, is the Barzilai-Borwein secant
 
     lambda = max(mu, <grad f(x_t) - grad f(x_{t-1}), s> / ||s||^2),
@@ -39,23 +38,21 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetExceeded
-from .oracles import Zero
 from .report import SolverReport, calls_since
 from .rng import RandomStream
 
 
 class FiniteSumProblem:
-    """f(x) = (1/m) sum_i f_i(x) + g(x), mu-strongly convex smooth part,
-    each f_i with beta_i-Lipschitz gradient.  ``counters`` holds component
+    """f(x) = (1/m) sum_i f_i(x), smooth and mu-strongly convex, each f_i
+    with beta_i-Lipschitz gradient.  ``counters`` holds component
     gradients (``grad_i``) and values (``value_i``, m per value pass)."""
 
-    def __init__(self, m, grad_i, value_i, g, mu, beta_i,
+    def __init__(self, m, grad_i, value_i, mu, beta_i,
                  full_grad=None, full_smooth_value=None, dim=None,
                  all_grads=None):
         self.m = int(m)
         self._grad_i = grad_i
         self._value_i = value_i
-        self.g = g if g is not None else Zero()
         self.mu = float(mu)
         self.beta_i = float(beta_i)
         self._full_grad = full_grad
@@ -90,14 +87,11 @@ class FiniteSumProblem:
             return np.asarray(self._all_grads(x), dtype=float)
         return np.stack([self._grad_i(i, x) for i in range(self.m)])
 
-    def smooth_value(self, x):
+    def value(self, x):
         self.counters["value_i"] += self.m
         if self._full_smooth_value is not None:
             return float(self._full_smooth_value(x))
         return float(np.mean([self._value_i(i, x) for i in range(self.m)]))
-
-    def value(self, x):
-        return self.smooth_value(x) + self.g.value(x)
 
 
 @dataclass
@@ -143,37 +137,28 @@ def momentum_update(alpha_prev: float, q: float) -> tuple[float, float]:
 # (so callers can derive the outer gradient for free); the caller judges
 # the bound.  Component gradients are counted in the problem's
 # ``counters``.  The certificate uses the strong convexity bound
-# value(x) - value* <= ||gradient mapping||^2 / (2 mu).
+# value(x) - value* <= ||gradient||^2 / (2 mu).
 # ---------------------------------------------------------------------------
 
-def _certified_bound(sub: Subproblem, x, grad):
-    g = sub.problem.g
-    if isinstance(g, Zero):
-        return float(grad @ grad) / (2.0 * sub.mu)
-    # prox-gradient mapping bound (safe constant 2 for the composite case)
-    L = sub.beta
-    x_plus = g.prox(1.0 / L, x - grad / L)
-    gm = L * (x - x_plus)
-    return 2.0 * float(gm @ gm) / (2.0 * sub.mu)
+def _certified_bound(mu, grad):
+    return float(grad @ grad) / (2.0 * mu)
 
 
-def prox_gd_run(sub: Subproblem, warm_start, target_accuracy, budget, rng=None, trace=None):
-    """Proximal gradient with step 1/beta on the subproblem; with g = 0
-    (``Zero.prox`` copies its argument) it is gradient descent.  Returns
-    at the first gradient that meets the target or spends ``budget``."""
+def gd_run(sub: Subproblem, warm_start, target_accuracy, budget, rng=None, trace=None):
+    """Gradient descent with step 1/beta on the subproblem.  Returns at
+    the first gradient that meets the target or spends ``budget``."""
     x = np.asarray(warm_start, dtype=float).copy()
-    g = sub.problem.g
     step = 1.0 / sub.beta
     counters = sub.problem.counters
     calls0 = counters["grad_i"]
     while True:
         grad = sub.full_gradient(x)
-        bound = _certified_bound(sub, x, grad)
+        bound = _certified_bound(sub.mu, grad)
         if trace is not None:
             trace.append((counters["grad_i"], sub.problem.value(x)))
         if bound <= target_accuracy or counters["grad_i"] - calls0 >= budget:
             return x, bound, grad
-        x = g.prox(step, x - step * grad)
+        x = x - step * grad
 
 
 def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
@@ -196,11 +181,9 @@ def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
     x = np.array(warm_start, dtype=float)  # owned buffer, updated in place
     prob = sub.problem
     m = prob.m
-    g = prob.g
     kappa, center = sub.kappa, sub.center
     eta = 1.0 / (10.0 * sub.beta)
     shrink = 1.0 - eta * kappa
-    use_prox = not isinstance(g, Zero)
     grad_i = prob._grad_i
     counters = prob.counters
     calls0 = counters["grad_i"]
@@ -209,7 +192,7 @@ def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
         anchor_grads = prob.component_gradients_table(anchor)  # m evals
         mean_anchor = anchor_grads.mean(axis=0)
         full = mean_anchor + kappa * (anchor - center)
-        bound = _certified_bound(sub, anchor, full)
+        bound = _certified_bound(sub.mu, full)
         if trace is not None:
             trace.append((counters["grad_i"], prob.value(anchor)))
         if bound <= target_accuracy or counters["grad_i"] - calls0 >= budget:
@@ -223,16 +206,14 @@ def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
                 x *= shrink
                 x -= step
                 x += rows[i]
-                if use_prox:
-                    x[...] = g.prox(eta, x)
         finally:
             counters["grad_i"] += k + 1  # one fresh gradient per draw begun
 
 
 @dataclass
 class InnerMethod:
-    """A linearly convergent subproblem solver and its name; ``run`` has
-    the signature of :func:`prox_gd_run`."""
+    """A linearly convergent solver of the smooth subproblem and its
+    name; ``run`` has the signature of :func:`gd_run`."""
 
     name: str
     run: Callable
@@ -240,7 +221,7 @@ class InnerMethod:
 
 def inner_method(name: str) -> InnerMethod:
     table = {
-        "gd": InnerMethod("gd", prox_gd_run),
+        "gd": InnerMethod("gd", gd_run),
         "svrg": InnerMethod("svrg", svrg_run),
     }
     if name not in table:
@@ -312,8 +293,7 @@ def catalyst_run(
         sub = Subproblem(problem, 0.0, x.copy())
         sol, bound, _ = inner.run(sub, x, eps, inner_budget, rng=rng, trace=trace)
         if not bound <= eps:
-            name = "prox_gd" if inner.name == "gd" else inner.name
-            raise BudgetExceeded("%s inner budget exhausted" % name,
+            raise BudgetExceeded("%s inner budget exhausted" % inner.name,
                                  best_point=sol, achieved=bound)
         for t, (evals, val) in enumerate(trace):
             report.record(t, val, np.nan, evals - start["grad_i"])
@@ -347,11 +327,10 @@ def catalyst_run(
         x_prev = x_new
         alpha = alpha_new
 
-        outer_bound = _certified_bound(Subproblem(problem, 0.0, x_new), x_new, grad)
         report.record(t, problem.value(x_new),
                       float(np.linalg.norm(grad)),
                       calls_since(problem.counters, start)["grad_i"])
-        if outer_bound <= eps:
+        if _certified_bound(mu, grad) <= eps:
             break
 
     report.solution = x_prev

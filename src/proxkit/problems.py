@@ -327,7 +327,7 @@ def make_ridge(d: int, m: int, cond: float = 1e4, seed: int = 0) -> SyntheticIns
         return A * (A @ x - b)[:, None] + mu * x
 
     problem = FiniteSumProblem(
-        m=m, grad_i=grad_i, value_i=value_i, g=Zero(), mu=mu, beta_i=beta_i,
+        m=m, grad_i=grad_i, value_i=value_i, mu=mu, beta_i=beta_i,
         full_grad=full_grad, full_smooth_value=full_value, dim=d,
         all_grads=all_grads,
     )
@@ -375,7 +375,7 @@ def make_erm_logistic(d: int, m: int, mu: float = 1e-2, seed: int = 0) -> Synthe
         return A * (-b * s)[:, None] + mu * x
 
     problem = FiniteSumProblem(
-        m=m, grad_i=grad_i, value_i=value_i, g=Zero(), mu=mu, beta_i=beta_i,
+        m=m, grad_i=grad_i, value_i=value_i, mu=mu, beta_i=beta_i,
         full_grad=full_grad, full_smooth_value=full_value, dim=d,
         all_grads=all_grads,
     )

@@ -354,6 +354,34 @@ class TestRunExperiment:
                 "CompositeProblem or SmoothPlusProx instance, got "
                 "FiniteSumProblem\n" % solver) in content
 
+    def test_inner_budget_bounds_catalyst_arms_at_kappa_zero(self, tmp_path):
+        # a catalyst- arm whose kappa resolves to 0 runs the inner method
+        # once, which spends inner_budget: set by the config, or chosen by
+        # choose_kappa for svrg when m >= beta/mu (here m = 400, beta/mu
+        # about 12.8)
+        configs = {
+            "svrg": "problem.name = erm_logistic\nproblem.d = 5\n"
+                    "problem.m = 400\nproblem.mu = 0.4\n"
+                    "solver.name = catalyst-svrg\nsolver.eps = 1e-9\n",
+            "gd": "problem.name = ridge\nproblem.d = 8\nproblem.m = 30\n"
+                  "problem.cond = 100\nsolver.name = catalyst-gd\n"
+                  "solver.kappa = 0\n",
+        }
+        for inner, text in configs.items():
+            for budget in ("", "solver.inner_budget = 1\n"):
+                out = str(tmp_path / (inner + ("-budget" if budget else "")))
+                manifest = run_experiment(
+                    parse_config_text(text + budget + "seeds = 0\n"), out)
+                content = open(os.path.join(out, "MANIFEST")).read()
+                failed = ("failed solver_seed0.csv: %s inner budget exhausted\n"
+                          % inner)
+                if budget:
+                    assert len(manifest["failures"]) == 1
+                    assert failed in content
+                else:
+                    assert not manifest["failures"]
+                    assert "ok solver_seed0.csv\n" in content
+
     def test_ratio_row_for_two_arms(self, tmp_path):
         cfg = parse_config_text("""\
 problem.name = ridge

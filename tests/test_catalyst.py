@@ -11,10 +11,10 @@ from proxkit import (
     FiniteSumProblem,
     RandomStream,
     Subproblem,
-    Zero,
     catalyst_run,
     choose_kappa,
     default_schedule,
+    gd_run,
     inner_method,
     make_erm_logistic,
     make_lasso,
@@ -22,12 +22,10 @@ from proxkit import (
     make_ridge,
     momentum_update,
     pgsg_run,
-    prox_gd_run,
     proximal_point_run,
     proxlinear_run,
     svrg_run,
 )
-from proxkit.oracles import L1Norm
 
 
 def _textbook_svrg(sub, warm_start, target_accuracy, budget, rng=None, trace=None):
@@ -41,17 +39,15 @@ def _textbook_svrg(sub, warm_start, target_accuracy, budget, rng=None, trace=Non
     x = np.asarray(warm_start, dtype=float).copy()
     prob = sub.problem
     m = prob.m
-    g = prob.g
     kappa, center = sub.kappa, sub.center
     eta = 1.0 / (10.0 * sub.beta)
-    use_prox = not isinstance(g, Zero)
     calls0 = prob.grad_evals
     while True:
         anchor = x.copy()
         anchor_grads = prob.component_gradients_table(anchor)  # m evals
         mean_anchor = anchor_grads.mean(axis=0)
         full = mean_anchor + kappa * (anchor - center)
-        bound = _certified_bound(sub, anchor, full)
+        bound = _certified_bound(sub.mu, full)
         if trace is not None:
             trace.append((prob.grad_evals, prob.value(anchor)))
         if bound <= target_accuracy or prob.grad_evals - calls0 >= budget:
@@ -61,11 +57,9 @@ def _textbook_svrg(sub, warm_start, target_accuracy, budget, rng=None, trace=Non
             v = (prob.component_gradient(int(i), x) - anchor_grads[i]
                  + mean_anchor + kappa * (x - center))
             x = x - eta * v
-            if use_prox:
-                x = g.prox(eta, x)
 
 
-def small_quadratic_sum(m=10, d=4, mu=0.1, seed=51, g=None):
+def small_quadratic_sum(m=10, d=4, mu=0.1, seed=51):
     """f_i(x) = 0.5 (a_i x - b_i)^2 + (mu/2)||x||^2 as a FiniteSumProblem."""
     rng = RandomStream(seed)
     A, b = rng.normal((m, d)), rng.normal(m)
@@ -75,7 +69,6 @@ def small_quadratic_sum(m=10, d=4, mu=0.1, seed=51, g=None):
         grad_i=lambda i, x: (float(A[i] @ x) - b[i]) * A[i] + mu * x,
         value_i=lambda i, x: 0.5 * (float(A[i] @ x) - b[i]) ** 2
         + 0.5 * mu * float(x @ x),
-        g=g if g is not None else Zero(),
         mu=mu, beta_i=beta_i, dim=d,
     ), A, b
 
@@ -172,7 +165,7 @@ class TestInnerMethods:
         prob, A, b = small_quadratic_sum()
         center = RandomStream(54).normal(4)
         sub = Subproblem(prob, 1.0, center)
-        x, bound, grad = prox_gd_run(sub, center, 1e-14, budget=10**6)
+        x, bound, grad = gd_run(sub, center, 1e-14, budget=10**6)
         # [DERIVED] closed form for the quadratic subproblem
         H = A.T @ A / prob.m + (prob.mu + 1.0) * np.eye(4)
         ref = np.linalg.solve(H, A.T @ b / prob.m + 1.0 * center)
@@ -184,7 +177,7 @@ class TestInnerMethods:
         # one at the result, which the inner method returns
         prob, _, _ = small_quadratic_sum()
         sub = Subproblem(prob, 1.0, np.zeros(4))
-        x, bound, grad = prox_gd_run(sub, np.zeros(4), 0.0, budget=2 * prob.m)
+        x, bound, grad = gd_run(sub, np.zeros(4), 0.0, budget=2 * prob.m)
         assert prob.grad_evals == 2 * prob.m
         step = 1.0 / sub.beta
         assert np.array_equal(x, -step * sub.full_gradient(np.zeros(4)))
@@ -199,7 +192,7 @@ class TestInnerMethods:
         with pytest.raises(BudgetExceeded) as err:
             catalyst_run(prob, inner_method("gd"), 0.0, x0, eps=1e-16,
                          inner_budget=2 * prob.m)
-        assert str(err.value) == "prox_gd inner budget exhausted"
+        assert str(err.value) == "gd inner budget exhausted"
         grad0 = prob.full_gradient(x0)
         x1 = x0 - (1.0 / prob.beta_i) * grad0
         assert np.array_equal(err.value.best_point, x1)
@@ -211,17 +204,6 @@ class TestInnerMethods:
         with pytest.raises(BudgetExceeded, match="^svrg inner budget exhausted$"):
             catalyst_run(prob, inner_method("svrg"), 0.0, np.zeros(4),
                          eps=1e-16, inner_budget=2 * prob.m)
-
-    def test_prox_gd_hits_l1_optimality(self):
-        prob, A, b = small_quadratic_sum(g=L1Norm(0.3))
-        sub = Subproblem(prob, 0.5, np.zeros(4))
-        x, bound, _ = prox_gd_run(sub, np.zeros(4), 1e-16, budget=10**6)
-        r = A.T @ (A @ x - b) / prob.m + (prob.mu + 0.5) * x
-        for i in range(4):
-            if abs(x[i]) > 1e-9:
-                assert abs(r[i] + 0.3 * np.sign(x[i])) < 1e-6
-            else:
-                assert abs(r[i]) <= 0.3 + 1e-6
 
     def test_svrg_eval_accounting(self):
         # total gradients = m * (anchor passes) + (stochastic draws)
@@ -278,7 +260,7 @@ class TestCatalystRun:
         # matches a direct inner run on the unregularized problem
         inst2 = make_ridge(d=10, m=40, cond=100.0, seed=1)
         sub = Subproblem(inst2.problem, 0.0, x0)
-        x_ref, _, _ = prox_gd_run(sub, x0, 1e-9, budget=10**8)
+        x_ref, _, _ = gd_run(sub, x0, 1e-9, budget=10**8)
         assert np.array_equal(rep.solution, x_ref)
         assert rep.evals_history[-1] == inst2.problem.grad_evals
 
@@ -311,7 +293,7 @@ class TestCatalystRun:
             return base._full_smooth_value(x)
 
         prob = FiniteSumProblem(
-            m=base.m, grad_i=base._grad_i, value_i=base._value_i, g=None,
+            m=base.m, grad_i=base._grad_i, value_i=base._value_i,
             mu=base.mu, beta_i=base.beta_i, full_grad=base._full_grad,
             full_smooth_value=full_value, dim=10, all_grads=base._all_grads)
         prob.value(np.zeros(10))  # a pass before the run is not the run's
@@ -362,7 +344,7 @@ def _underclaimed_quadratic_sum(mu, b_scale=1.0):
     return FiniteSumProblem(
         m=10, grad_i=lambda i, x: (float(A[i] @ x) - b[i]) * A[i],
         value_i=lambda i, x: 0.5 * (float(A[i] @ x) - b[i]) ** 2,
-        g=None, mu=mu, beta_i=float(np.max(np.sum(A * A, axis=1))), dim=4)
+        mu=mu, beta_i=float(np.max(np.sum(A * A, axis=1))), dim=4)
 
 
 class TestWarmStart:
@@ -373,7 +355,7 @@ class TestWarmStart:
         calls = []
 
         def recording(sub, warm_start, target, budget, rng=None, trace=None):
-            out = prox_gd_run(sub, warm_start, target, budget, rng=rng)
+            out = gd_run(sub, warm_start, target, budget, rng=rng)
             calls.append((np.array(warm_start), sub.center.copy(), out[0], out[2]))
             return out
 
@@ -409,7 +391,7 @@ class TestWarmStart:
 
         def recording(sub, warm_start, target, budget, rng=None, trace=None):
             starts.append(np.array(warm_start))
-            return prox_gd_run(sub, warm_start, target, budget, rng=rng)
+            return gd_run(sub, warm_start, target, budget, rng=rng)
 
         rep = catalyst_run(prob, dataclasses.replace(inner_method("gd"), run=recording),
                            choose_kappa(prob, "gd"), np.zeros(4),
@@ -511,15 +493,11 @@ def _logistic(d, m, seed):
     return make_erm_logistic(d=d, m=m, mu=1e-2, seed=seed).problem
 
 
-def _lasso_sum(d, m, seed):
-    return small_quadratic_sum(m=m, d=d, mu=0.05, seed=seed, g=L1Norm(0.05))[0]
-
-
 class TestFoldedSvrgEpoch:
     """svrg_run folds the epoch-constant terms into one shift table; it must
     agree with the textbook step to rounding and count the same calls."""
 
-    @pytest.mark.parametrize("make", [_ridge, _logistic, _lasso_sum])
+    @pytest.mark.parametrize("make", [_ridge, _logistic])
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_matches_textbook_loop(self, make, epochs):
         d, m = 8, 30
@@ -535,12 +513,6 @@ class TestFoldedSvrgEpoch:
         assert not np.array_equal(x_ref, warm)
         assert np.linalg.norm(x_new - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
-    def test_prox_path_hits_the_kink(self):
-        # the L1 arm must actually clip coordinates to zero in the epoch
-        prob = _lasso_sum(8, 30, 62)
-        x, _ = _run_epochs(svrg_run, prob, 0.5, np.zeros(8), np.zeros(8))
-        assert np.any(x == 0.0) and np.any(x != 0.0)
-
     @pytest.mark.parametrize("fail_at", [0, 7, 29])
     def test_raising_oracle_leaves_exact_count(self, fail_at):
         base, _, _ = small_quadratic_sum(m=30, d=4)
@@ -554,7 +526,7 @@ class TestFoldedSvrgEpoch:
             return base._grad_i(i, x)
 
         prob = FiniteSumProblem(m=base.m, grad_i=grad_i, value_i=base._value_i,
-                                g=None, mu=base.mu, beta_i=base.beta_i, dim=4)
+                                mu=base.mu, beta_i=base.beta_i, dim=4)
         sub = Subproblem(prob, 1.0, np.zeros(4))
         with pytest.raises(FloatingPointError):
             svrg_run(sub, np.ones(4), 0.0, budget=10**6,
@@ -568,7 +540,7 @@ class TestFoldedSvrgEpoch:
             return FiniteSumProblem(
                 m=20, grad_i=lambda i, x: x,
                 value_i=lambda i, x: 0.5 * float(x @ x),
-                g=None, mu=1.0, beta_i=1.0, dim=5)
+                mu=1.0, beta_i=1.0, dim=5)
 
         center, warm = RandomStream(64).normal(5), RandomStream(65).normal(5)
         x_new, _ = _run_epochs(svrg_run, problem(), 2.0, center, warm)

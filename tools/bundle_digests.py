@@ -11,7 +11,10 @@ script imports proxkit from ``TREE/src`` and prints one line per output:
 * ``criterion9/IDX/FILE SHA``: every file of the bundle of each config
   in ``tests/test_acceptance.DETERMINISM_CONFIGS``;
 * ``fanout/jobsN/FILE SHA``: every file of the bundle of perfbench's
-  ``_CLI_CONFIG`` over seeds 0..31, written with ``jobs`` 1 and 2.
+  ``_CLI_CONFIG`` over seeds 0..31, written with ``jobs`` 1 and 2;
+* ``catalyst_ridge/ARM/seedS SHA``: the solution and the four histories
+  of each of the four solves of perfbench's ``CatalystRidge`` workload,
+  the only accelerated SVRG runs here.
 
 Two trees that make the same bytes print the same lines, so the gate
 "byte-identical bundles and demo output" is one ``diff`` of the two
@@ -85,6 +88,16 @@ def bundle_lines(tree, scratch):
         out = os.path.join(scratch, "fanout-jobs%d" % jobs)
         proxkit.run_experiment(fanout, out, jobs=jobs)
         lines += _bundle_lines("fanout/jobs%d" % jobs, out)
+    workload = workloads.CatalystRidge()
+    tasks = workload.build(0, scratch)
+    for (s, arm, _, _), rep in sorted(zip(tasks, workload.run(tasks)),
+                                      key=lambda pair: pair[0][:2]):
+        if isinstance(rep, Exception):
+            raise RuntimeError("catalyst_ridge %s seed%d raised %r" % (arm, s, rep))
+        digest = workloads._digest(rep.solution, rep.objective_history,
+                                   rep.stationarity_history, rep.evals_history,
+                                   rep.iteration_index)
+        lines.append("catalyst_ridge/%s/seed%d %s" % (arm, s, digest))
     return lines
 
 
