@@ -1,21 +1,26 @@
 """Proximally guided stochastic subgradient method for stochastic
-weakly convex minimization.
+weakly convex minimization of a linear model, F(x) = E_i phi_i(a_i . x).
 
 Outer step t holds the proximal center x_t fixed and runs j_t - 1
 stochastic subgradient steps on the regularized model
-f(., zeta) + rho ||. - x_t||^2 (whose quadratic contributes gradient
-2 rho (y - x_t)), warm-started at y_0 = x_t; the next center is the
-running average of the inner iterates.
+f(., i) + rho ||. - x_t||^2, warm-started at y_0 = x_t; the next center is
+the running average of the inner iterates.  The loop steps the offset
+w = y - x_t: with A x_t computed once per outer step, a step draws i,
+takes s = phi_i'(a_i . x_t + a_i . w) and sets
+w <- (1 - 2 rho alpha_j) w - (alpha_j s) a_i.  That is the textbook step
+y <- y - alpha_j (s a_i + 2 rho (y - x_t)) in exact arithmetic, rounded
+differently, so the two agree only to the last few digits.  The next
+center is x_t + (sum of the w) / j_t.
 
-Every step direction v must be finite.  The inner loop does not test each
-v; it adds them into a running sum and tests that sum once per outer step
-(a NaN or inf in any v leaves it non-finite).  When the sum is not finite,
-or the oracle raises mid-step, the outer step is replayed from x_t on the
-same draws with a test on every v, which finds the first failing inner
-step j and raises OracleFailure for (t, j) as a per-step test would.  A
-replay that finds no bad v means the sum itself overflowed (the run goes
-on, and NumPy warns of the overflow) or the exception came first (it is
-re-raised).
+Every step direction v = 2 rho w + s a_i must be finite.  The inner loop
+does not test each v; it adds up the w and tests that sum once per outer
+step (a NaN or inf in any v leaves it non-finite).  When the sum is not
+finite, or the oracle raises mid-step, the outer step is replayed from
+x_t on the same draws with a test on every v, which finds the first
+failing inner step j and raises OracleFailure for (t, j) as a per-step
+test would.  A replay that finds no bad v means the sum itself overflowed
+(the run goes on, and NumPy warns of the overflow) or the exception came
+first (it is re-raised).
 """
 
 from __future__ import annotations
@@ -36,25 +41,28 @@ _ENVELOPE_INNER_TOL = 1e-8
 
 @dataclass
 class StochasticProblem:
-    """Sampling access to F(x) = E_zeta f(x, zeta).
+    """Sampling access to F(x) = E_i f(x, i) for the linear model
+    f(x, i) = phi_i(a_i . x), where a_i is row i of ``A``, shape (m, d).
 
-    Each x -> f(x, zeta) must be rho-weakly convex.
+    Each x -> f(x, i) must be rho-weakly convex.
     ``full_value`` and ``envelope_oracle`` are evaluation-only extras
     available on synthetic instances: the latter is a deterministic
     bundle accepted by :func:`proxkit.moreau.prox_map`, used to report
     the Moreau envelope gradient of the full objective.
 
-    ``stoch_subgrad(x, zeta)`` must depend on ``(x, zeta)`` alone: a
-    failing outer step is replayed on the same draws (see the module
-    docstring).  ``presample(rng, n)`` returns n draws as an array, which
-    PGSG hands to ``stoch_subgrad`` through ``tolist()``, so integer draws
-    arrive as Python ints.  ``counters`` holds the subgradients PGSG
-    spends, one per inner step begun, whether the step completes or
-    raises (a replayed step counts twice).
+    Draws are row indices.  ``presample(rng, n)`` returns n of them as an
+    array, which PGSG reads through ``tolist()``.  ``stoch_subgrad(t, i)``
+    returns phi_i'(t), a Python float for a Python float t, so the
+    subgradient of f(., i) at y is ``stoch_subgrad(a_i . y, i) * A[i]``.
+    It must depend on ``(t, i)`` alone: a failing outer step is replayed
+    on the same draws (see the module docstring).  ``counters`` holds the
+    subgradients PGSG spends, one per inner step begun, whether the step
+    completes or raises (a replayed step counts twice).
     """
 
-    stoch_value: Callable[[np.ndarray, object], float]
-    stoch_subgrad: Callable[[np.ndarray, object], np.ndarray]
+    stoch_value: Callable[[np.ndarray, int], float]
+    stoch_subgrad: Callable[[float, int], float]
+    A: np.ndarray
     rho: float
     dim: int
     presample: Callable[[RandomStream, int], np.ndarray]
@@ -92,35 +100,34 @@ class _NonFiniteStep(OracleFailure):
     """A replayed inner step produced a non-finite v."""
 
 
-def _inner_loop(subgrad, two_rho, alphas, x, zetas, t, counters, check):
+def _inner_loop(subgrad, two_rho, alphas, A, x, draws, t, counters, check):
     """The inner steps of outer step t from center x, one per draw.
 
-    Returns the sum of the iterates y_0 .. y_n and the sum of the step
-    directions v.  With ``check``, raises _NonFiniteStep at the first
-    non-finite v.  The arithmetic is that of
-    ``v = g + (2 rho) (y - x); y = y - alpha v`` bit for bit: the in-place
-    forms only swap the operands of IEEE + and *, which commute.  One
+    Returns the sum of the offsets w_1 .. w_n from x (w_0 = 0).  With
+    ``check``, raises _NonFiniteStep at the first non-finite
+    v = (2 rho) w + s a_i; the test reads w and leaves its steps as they
+    are, so a replay repeats the unchecked loop's iterates.  One
     subgradient per step begun is added to ``counters`` on any exit.
     """
-    y = x.copy()
-    acc = y.copy()
-    vsum = np.zeros_like(y)
+    rows = list(A)
+    Ax = (A @ x).tolist()
+    w = np.zeros_like(x)
+    wsum = np.zeros_like(x)
     j = -1
     try:
-        for j, zeta in enumerate(zetas):
-            v = y - x
-            v *= two_rho
-            v += subgrad(y, zeta)
-            if check and not np.all(np.isfinite(v)):
+        for j, i in enumerate(draws):
+            a = rows[i]
+            s = subgrad(Ax[i] + float(a.dot(w)), i)
+            if check and not np.all(np.isfinite(two_rho * w + s * a)):
                 raise _NonFiniteStep(
                     "non-finite subgradient at outer %d, inner %d" % (t, j))
-            vsum += v
-            v *= alphas[j]
-            y = y - v
-            acc += y
+            alpha = alphas[j]
+            w *= 1.0 - two_rho * alpha
+            w -= (alpha * s) * a
+            wsum += w
     finally:
         counters["stoch_subgrad"] += j + 1
-    return acc, vsum
+    return wsum
 
 
 def _replay(args):
@@ -183,16 +190,16 @@ def pgsg_run(
         j_t = int(schedule.inner_counts(t))
         if j_t < 1:
             raise ValueError("inner count must be >= 1")
-        zetas = problem.presample(rng, max(j_t - 1, 0)).tolist()
-        args = (subgrad, two_rho, alphas, x, zetas, t, counters)
+        draws = problem.presample(rng, max(j_t - 1, 0)).tolist()
+        args = (subgrad, two_rho, alphas, problem.A, x, draws, t, counters)
         try:
-            acc, vsum = _inner_loop(*args, check=False)
+            wsum = _inner_loop(*args, check=False)
         except Exception:
             _replay(args)
             raise
-        if not np.all(np.isfinite(vsum)):
+        if not np.all(np.isfinite(wsum)):
             _replay(args)
-        x_new = acc / j_t
+        x_new = x + wsum / j_t
         if (t + 1) % stat_every == 0 or t == 0 or t == outer_iters - 1:
             report.record(t + 1, objective(x_new), stationarity(x_new, x),
                           calls_since(counters, start)["stoch_subgrad"])

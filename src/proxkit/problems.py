@@ -87,23 +87,21 @@ def make_phase_retrieval(d: int, m: int, outlier_frac: float = 0.0,
     row_sq = np.sum(A * A, axis=1)
     rho_stoch = float(2.0 * np.max(row_sq))
 
-    # PGSG calls this once per inner step, so it avoids NumPy scalars:
-    # prebuilt row views, Python-float data, and a sign by comparisons.
-    # That sign is np.sign's except at NaN, where t is NaN and the result
-    # is NaN either way.
-    rows = list(A)
+    # phi_i'(t) = 2 t sign(t^2 - b_i^2).  PGSG calls this once per inner
+    # step, so it avoids NumPy scalars: Python-float data, and a sign by
+    # comparisons.  That sign is np.sign's except at NaN, where t is NaN
+    # and the result is NaN either way.
     b2_list = b2.tolist()
 
-    def stoch_subgrad(x, i):
-        a = rows[i]
-        t = float(a.dot(x))
+    def stoch_subgrad(t, i):
         r = t * t - b2_list[i]
         s = 1.0 if r > 0.0 else -1.0 if r < 0.0 else 0.0
-        return (2.0 * t * s) * a
+        return 2.0 * t * s
 
     stochastic = StochasticProblem(
         stoch_value=lambda x, i: abs(float(A[i] @ x) ** 2 - b2[i]),
         stoch_subgrad=stoch_subgrad,
+        A=A,
         rho=rho_stoch,
         dim=d,
         presample=lambda r, n: r.integers(0, m, size=n),

@@ -1,5 +1,7 @@
 """Proximally guided stochastic subgradient method."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,23 +38,29 @@ class TestSchedule:
             default_schedule(0.0)
 
 
-def tiny_quadratic_problem(rho=1.0, dim=3):
-    """f(x, zeta) = 0.5||x - zeta||^2 with zeta ~ N(0, I): F has minimum 0."""
+def tiny_quadratic_problem(rho=1.0, dim=3, m=20):
+    """Least squares as a linear model: f(x, i) = 0.5 (a_i . x - b_i)^2
+    over m fixed rows, with i uniform; F is a convex quadratic."""
+    gen = RandomStream(0, stream_id=31)
+    A = gen.normal((m, dim))
+    b = A @ np.ones(dim) + 0.1 * gen.normal(m)
+    b_list = b.tolist()
     return StochasticProblem(
-        stoch_value=lambda x, z: 0.5 * float((x - z) @ (x - z)),
-        stoch_subgrad=lambda x, z: x - z,
-        rho=rho, dim=dim,
-        presample=lambda rng, n: rng.normal((n, dim)),
-        full_value=lambda x: 0.5 * float(x @ x) + 0.5 * dim,
+        stoch_value=lambda x, i: 0.5 * float(A[i] @ x - b[i]) ** 2,
+        stoch_subgrad=lambda t, i: t - b_list[i],
+        A=A, rho=rho, dim=dim,
+        presample=lambda rng, n: rng.integers(0, m, size=n),
+        full_value=lambda x: 0.5 * float(np.mean((A @ x - b) ** 2)),
     )
 
 
 class TestPgsgRun:
     def test_inner_loop_matches_reference(self):
-        # [ORACLE] one outer step replayed by an independent loop using
-        # the same presampled noise
+        # [ORACLE] one outer step replayed by an independent loop in the
+        # textbook form y = y - alpha (g + 2 rho (y - x)), on the same draws
         dim = 3
         prob = tiny_quadratic_problem(dim=dim)
+        A = prob.A
         sched = default_schedule(prob.rho)
         x0 = np.array([2.0, -1.0, 0.5])
         rep = pgsg_run(prob, x0, outer_iters=1, schedule=sched,
@@ -60,11 +68,13 @@ class TestPgsgRun:
 
         rng = RandomStream(7, stream_id=1)
         j0 = sched.inner_counts(0)
+        draws = rng.integers(0, len(A), size=j0 - 1)
         y = x0.copy()
         acc = y.copy()
         for j in range(j0 - 1):
-            z = rng.normal(dim)
-            v = (y - z) + 2.0 * prob.rho * (y - x0)
+            i = draws[j]
+            g = prob.stoch_subgrad(float(A[i] @ y), i) * A[i]
+            v = g + 2.0 * prob.rho * (y - x0)
             y = y - sched.inner_steps(j) * v
             acc += y
         x1 = acc / j0
@@ -77,7 +87,8 @@ class TestPgsgRun:
                        schedule=default_schedule(prob.rho),
                        rng=RandomStream(8, stream_id=2))
         assert rep.objective_history[-1] < rep.objective_history[0]
-        assert np.linalg.norm(rep.solution) < 1.0
+        xstar = np.linalg.lstsq(prob.A, prob.A @ np.ones(3), rcond=None)[0]
+        assert np.linalg.norm(rep.solution - xstar) < 1.0
 
     def test_eval_accounting(self):
         prob = tiny_quadratic_problem()
@@ -90,7 +101,7 @@ class TestPgsgRun:
 
     def test_non_finite_subgradient_raises(self):
         prob = tiny_quadratic_problem()
-        prob.stoch_subgrad = lambda x, z: np.full(3, np.nan)
+        prob.stoch_subgrad = lambda t, i: math.nan
         with pytest.raises(OracleFailure):
             pgsg_run(prob, np.zeros(3), outer_iters=1,
                      schedule=default_schedule(prob.rho),
@@ -119,9 +130,13 @@ class TestPgsgRun:
 
     def test_bit_identical_to_textbook_loop(self):
         # [ORACLE] two outer steps of robust phase retrieval against the
-        # plain loop: NumPy-scalar subgradient, a finiteness test on every
-        # v, v = g + (2 rho)(y - x), y = y - alpha v.  Equal bits, not
-        # allclose.
+        # plain offset-form loop: NumPy-scalar derivative
+        # s = 2 t sign(t^2 - b_i^2) at t = (A x)_i + a_i . w, a finiteness
+        # test on every v = (2 rho) w + s a_i, and
+        # w = (1 - (2 rho) alpha) w - (alpha s) a_i.  Equal bits, not
+        # allclose.  The y-form loop y = y - alpha (s a_i + (2 rho)(y - x))
+        # is the same iterate rounded differently: its centers must agree
+        # to 1e-13, some 200 ulps at entries of size about 2.
         inst = make_phase_retrieval(d=10, m=80, outlier_frac=0.1, seed=3)
         sp = inst.stochastic
         sched = default_schedule(sp.rho)
@@ -131,47 +146,63 @@ class TestPgsgRun:
 
         A, b = inst.arrays["A"], inst.arrays["b"]
         b2 = b * b
-
-        def subgrad(x, i):
-            a = A[i]
-            t = float(a @ x)
-            return (2.0 * t * np.sign(t * t - b2[i])) * a
-
         rho = sp.rho
-        rng = RandomStream(3, stream_id=200)
-        x = x0.copy()
-        visited, objectives, stats = [x.copy()], [], []
-        for t in range(2):
-            j_t = sched.inner_counts(t)
-            zetas = rng.integers(0, 80, size=j_t - 1)
-            y = x.copy()
-            acc = y.copy()
-            for j in range(j_t - 1):
-                v = subgrad(y, zetas[j]) + (2.0 * rho) * (y - x)
-                if not np.all(np.isfinite(v)):
-                    raise OracleFailure("outer %d, inner %d" % (t, j))
-                y = y - sched.inner_steps(j) * v
-                acc += y
-            x_new = acc / j_t
-            objectives.append(inst.problem.value(x_new))
-            mp = prox_map(inst.problem, 1.0 / (2.0 * rho), x_new, inner_tol=1e-8)
-            stats.append(float(np.linalg.norm(mp.envelope_gradient)))
-            x = x_new
-            visited.append(x.copy())
-        pick = int(rng.integers(1, 3))
+
+        def deriv(t, i):
+            return 2.0 * t * np.sign(t * t - b2[i])
+
+        def centers(offset_form):
+            rng = RandomStream(3, stream_id=200)
+            x = x0.copy()
+            visited = [x.copy()]
+            for t in range(2):
+                j_t = sched.inner_counts(t)
+                draws = rng.integers(0, 80, size=j_t - 1)
+                Ax = A @ x
+                w, wsum = np.zeros(10), np.zeros(10)
+                y, acc = x.copy(), x.copy()
+                for j in range(j_t - 1):
+                    i, alpha = draws[j], sched.inner_steps(j)
+                    a = A[i]
+                    if offset_form:
+                        s = deriv(Ax[i] + a @ w, i)
+                        v = (2.0 * rho) * w + s * a
+                    else:
+                        v = deriv(a @ y, i) * a + (2.0 * rho) * (y - x)
+                    if not np.all(np.isfinite(v)):
+                        raise OracleFailure("outer %d, inner %d" % (t, j))
+                    if offset_form:
+                        w = (1.0 - (2.0 * rho) * alpha) * w - (alpha * s) * a
+                        wsum += w
+                    else:
+                        y = y - alpha * v
+                        acc += y
+                x = x + wsum / j_t if offset_form else acc / j_t
+                visited.append(x.copy())
+            return visited, int(rng.integers(1, 3))
+
+        visited, pick = centers(offset_form=True)
+        objectives = [inst.problem.value(x) for x in visited[1:]]
+        stats = [float(np.linalg.norm(prox_map(
+            inst.problem, 1.0 / (2.0 * rho), x, inner_tol=1e-8).envelope_gradient))
+            for x in visited[1:]]
 
         assert np.array_equal(rep.solution, visited[pick])
         assert np.array_equal(rep.objective_history, objectives)
         assert np.array_equal(rep.stationarity_history, stats)
+        textbook, _ = centers(offset_form=False)
+        assert np.max(np.abs(np.array(textbook) - np.array(visited))) <= 1e-13
 
 
 def step_indexed_problem(subgrad, dim=3):
-    """Draw j of each outer step is the integer j, so an oracle can
-    misbehave at a chosen inner step; F(x) = 0.5||x||^2 otherwise."""
+    """Draw j of each outer step is row j, so a derivative can misbehave
+    at a chosen inner step.  Every row is the all-ones vector, and
+    f(x, j) = 0.5 (a_j . x)^2 otherwise."""
+    A = np.ones((_INNER_OFFSET, dim))
     return StochasticProblem(
-        stoch_value=lambda x, j: 0.5 * float(x @ x),
+        stoch_value=lambda x, j: 0.5 * float(A[j] @ x) ** 2,
         stoch_subgrad=subgrad,
-        rho=1.0, dim=dim,
+        A=A, rho=1.0, dim=dim,
         presample=lambda rng, n: np.arange(n),
     )
 
@@ -181,9 +212,9 @@ def tallied(subgrad):
     can count the calls the oracle saw."""
     calls = []
 
-    def counted(x, j):
+    def counted(t, j):
         calls.append(j)
-        return subgrad(x, j)
+        return subgrad(t, j)
 
     return counted, calls
 
@@ -195,12 +226,12 @@ def run_one_step(prob):
 
 
 class TestFiniteness:
-    """The sum of v is tested once per outer step; a replay names the
-    first non-finite v as a test on every step would."""
+    """The sum of the offsets w is tested once per outer step; a replay
+    names the first non-finite v = (2 rho) w + s a_i as a test on every
+    step would."""
 
     def test_nan_names_its_step(self):
-        subgrad, calls = tallied(
-            lambda x, j: np.full(3, np.nan) if j == 7 else x)
+        subgrad, calls = tallied(lambda t, j: math.nan if j == 7 else t)
         prob = step_indexed_problem(subgrad)
         with pytest.raises(OracleFailure, match="outer 0, inner 7$"):
             run_one_step(prob)
@@ -210,31 +241,31 @@ class TestFiniteness:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_sum_of_finite_steps_does_not_raise(self):
-        # v_0 = 1e308 and v_1 = 1e308 + 2 y_1 are finite, but their sum is
-        # not; after them the oracle returns 0 and y decays toward 0
-        prob = step_indexed_problem(
-            lambda x, j: np.full(3, 1e308) if j < 2 else np.zeros(3))
+        # s = -1.7e308 for five steps, then 0: every v = 2 w + s a_i stays
+        # finite and w decays toward 0, but the sum of the w overflows
+        prob = step_indexed_problem(lambda t, j: -1.7e308 if j < 5 else 0.0)
         rep = run_one_step(prob)
-        assert np.all(np.isfinite(rep.solution))
+        # that sum is the new center's, so the center is infinite
+        assert np.all(rep.solution == np.inf)
         # the replay that found no bad step made its calls too
         n = _INNER_OFFSET - 1
         calls = rep.oracle_calls["stoch_subgrad"]
         assert calls == prob.counters["stoch_subgrad"] == 2 * n
 
     def test_exception_after_non_finite_step_is_oracle_failure(self):
-        def subgrad(x, j):
-            if np.isnan(x).any():
+        def subgrad(t, j):
+            if math.isnan(t):
                 raise ValueError("NaN input")
-            return np.full(3, np.nan) if j == 7 else x
+            return math.nan if j == 7 else t
 
         with pytest.raises(OracleFailure, match="outer 0, inner 7$"):
             run_one_step(step_indexed_problem(subgrad))
 
     def test_exception_before_any_non_finite_step_is_reraised(self):
-        def raising(x, j):
+        def raising(t, j):
             if j == 7:
                 raise ValueError("oracle down")
-            return x
+            return t
 
         subgrad, calls = tallied(raising)
         prob = step_indexed_problem(subgrad)
@@ -243,3 +274,23 @@ class TestFiniteness:
         # the step and its replay each reach the raising call
         assert len(calls) == 2 * 8
         assert prob.counters["stoch_subgrad"] == len(calls)
+
+    @pytest.mark.parametrize("finite_derivative", [False, True])
+    def test_non_finite_row_names_the_first_step_that_draws_it(
+            self, finite_derivative):
+        # the rows live in the problem: a NaN in row i reaches v at the
+        # first inner step that draws i, also through a derivative that
+        # stays finite at a NaN t (the derivative of |t| by copysign)
+        inst = make_phase_retrieval(d=5, m=30, outlier_frac=0.1, seed=4)
+        sp = inst.stochastic
+        if finite_derivative:
+            sp.stoch_subgrad = lambda t, i: math.copysign(1.0, t)
+        draws = RandomStream(14, stream_id=8).integers(
+            0, 30, size=_INNER_OFFSET - 1).tolist()
+        first = {i: draws.index(i) for i in range(30)}
+        row = max(first, key=first.get)  # the row drawn last of all
+        sp.A[row, 2] = np.nan
+        with pytest.raises(OracleFailure, match="outer 0, inner %d$" % first[row]):
+            pgsg_run(sp, RandomStream(14).normal(5), outer_iters=2,
+                     schedule=default_schedule(sp.rho),
+                     rng=RandomStream(14, stream_id=8))

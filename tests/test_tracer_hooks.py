@@ -10,6 +10,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import proxkit
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -51,3 +53,22 @@ def test_install_wraps_instances_and_remove_restores_every_binding():
     changed = [key for key, value in before.items() if after.get(key) is not value]
     assert changed == []
     assert proxkit.GENERATORS == generators  # functions compare by identity
+
+
+def test_traced_pgsg_counts_one_wrapped_subgradient_per_inner_step():
+    # the tracer counts PGSG's inner steps through the stoch_subgrad it
+    # wraps, so pgsg_run must call that attribute once per step begun
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        pr = proxkit.GENERATORS["phase_retrieval"](d=5, m=30, outlier_frac=0.1, seed=0)
+        sp = pr.stochastic
+        report = proxkit.pgsg_run(sp, np.zeros(5), outer_iters=2,
+                                  schedule=proxkit.default_schedule(sp.rho),
+                                  rng=proxkit.RandomStream(0, stream_id=200))
+    finally:
+        tracer.remove()
+    steps = report.oracle_calls["stoch_subgrad"]
+    assert steps == 2 * proxkit.default_schedule(sp.rho).inner_counts(0) - 1
+    assert tracer.oracle["subgrad"] == steps
+    assert tracer.spans["pgsg_run"].counts["direct.subgrad"] == steps

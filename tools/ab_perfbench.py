@@ -13,12 +13,15 @@ from each tree, and alternates which side runs first.  Pair k uses
 the benchmark's own run length.  It then makes one ``--trace 1`` run per
 side, for the per-layer counts.
 
-The JSON it writes holds every run's end-to-end metrics in the order they
-ran and, per metric, each side's median and quartiles and the number of
-pairs the change won (ties count for neither side; the better direction
-is read from ``BENCHMARK.json``).  A gain may be claimed only when the
-change wins at least nine pairs in ten and the medians differ by more
-than the base's interquartile range.
+The JSON it writes holds every run's end-to-end metrics and pass seconds
+in the order they ran and, per metric, each side's median and quartiles
+and the number of pairs the change won (ties count for neither side; the
+better direction is read from ``BENCHMARK.json``).  Next to the
+``solve_s`` quartiles it gives each side's median of the per-run minimum
+pass, ``pass_min_median``: a run's fastest pass is the one the host
+slowed least, so minimums separate host drift from the code.  A gain may
+be claimed only when the change wins at least nine pairs in ten and the
+medians differ by more than the base's interquartile range.
 """
 
 from __future__ import annotations
@@ -47,8 +50,12 @@ def _run(tree, workload, seed, trace):
                            % (" ".join(cmd), out.returncode, out.stdout, out.stderr))
     result = json.loads(lines[-1])
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    # "# WORKLOAD: passes N, pass seconds S1, S2, ..."
+    passes = "# %s: passes " % workload
+    pass_s = [float(s) for line in lines if line.startswith(passes)
+              for s in line.split("pass seconds ", 1)[1].split(", ")]
     return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"], "metrics": metrics}
+            "failed": result["failed"], "metrics": metrics, "pass_s": pass_s}
 
 
 def _quartiles(values):
@@ -67,6 +74,9 @@ def _summary(pairs, better):
         out[name] = {"base": _quartiles(base), "change": _quartiles(change),
                      "change_wins": wins, "change_losses": losses,
                      "pairs": len(pairs), "better": better[name]}
+    for side in ("base", "change"):
+        out["solve_s"][side]["pass_min_median"] = statistics.median(
+            min(p[side]["pass_s"]) for p in pairs)
     return out
 
 

@@ -14,7 +14,10 @@ script imports proxkit from ``TREE/src`` and prints one line per output:
   ``_CLI_CONFIG`` over seeds 0..31, written with ``jobs`` 1 and 2;
 * ``catalyst_ridge/ARM/seedS SHA``: the solution and the four histories
   of each of the four solves of perfbench's ``CatalystRidge`` workload,
-  the only accelerated SVRG runs here.
+  the only accelerated SVRG runs here;
+* ``pgsg_robust_pr/seedS SHA``: the solution, stationarity and objective
+  histories of each of the four solves of perfbench's ``PgsgRobustPR``
+  workload, since no criterion-9 config runs PGSG.
 
 Two trees that make the same bytes print the same lines, so the gate
 "byte-identical bundles and demo output" is one ``diff`` of the two
@@ -98,6 +101,15 @@ def bundle_lines(tree, scratch):
                                    rep.stationarity_history, rep.evals_history,
                                    rep.iteration_index)
         lines.append("catalyst_ridge/%s/seed%d %s" % (arm, s, digest))
+    workload = workloads.PgsgRobustPR()
+    tasks = workload.build(0, scratch)
+    for (s, _, _), rep in sorted(zip(tasks, workload.run(tasks)),
+                                 key=lambda pair: pair[0][0]):
+        if isinstance(rep, Exception):
+            raise RuntimeError("pgsg_robust_pr seed%d raised %r" % (s, rep))
+        digest = workloads._digest(rep.solution, rep.stationarity_history,
+                                   rep.objective_history)
+        lines.append("pgsg_robust_pr/seed%d %s" % (s, digest))
     return lines
 
 
