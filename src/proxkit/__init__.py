@@ -21,6 +21,8 @@ from .bench import (
 from .catalyst import (
     FiniteSumProblem,
     InnerMethod,
+    LogisticLoss,
+    SquaredLoss,
     Subproblem,
     catalyst_run,
     choose_kappa,

@@ -42,23 +42,71 @@ from .report import SolverReport, calls_since
 from .rng import RandomStream
 
 
-class FiniteSumProblem:
-    """f(x) = (1/m) sum_i f_i(x), smooth and mu-strongly convex, each f_i
-    with beta_i-Lipschitz gradient.  ``counters`` holds component
-    gradients (``grad_i``) and values (``value_i``, m per value pass)."""
+class SquaredLoss:
+    """phi_i(t) = (t - b_i)^2 / 2.  A loss gives phi' over a vector
+    (``deriv``), phi_i'(t) for one draw (``deriv_i``), the mean of phi_i
+    over a vector (``mean_value``) and a bound on phi_i'' (``curvature``)."""
 
-    def __init__(self, m, grad_i, value_i, mu, beta_i,
-                 full_grad=None, full_smooth_value=None, dim=None,
-                 all_grads=None):
-        self.m = int(m)
-        self._grad_i = grad_i
-        self._value_i = value_i
+    curvature = 1.0
+
+    def __init__(self, b):
+        self.b = np.asarray(b, dtype=float)
+        self._b = self.b.tolist()
+
+    def deriv(self, t):
+        return t - self.b
+
+    def deriv_i(self, i, t):
+        return t - self._b[i]
+
+    def mean_value(self, t):
+        r = t - self.b
+        return 0.5 * float(r @ r) / r.size
+
+
+class LogisticLoss:
+    """phi_i(t) = log(1 + exp(-b_i t)) for labels b_i = +-1."""
+
+    curvature = 0.25
+
+    def __init__(self, b):
+        self.b = np.asarray(b, dtype=float)
+        self._b = self.b.tolist()
+
+    def deriv(self, t):
+        z = -self.b * t
+        return -self.b * (1.0 / (1.0 + np.exp(-z)))
+
+    def deriv_i(self, i, t):
+        b = self._b[i]
+        z = -b * t
+        e = math.exp(-abs(z))  # the sigmoid split by sign: math.exp raises on overflow
+        return -b * (1.0 if z >= 0.0 else e) / (1.0 + e)
+
+    def mean_value(self, t):
+        return float(np.mean(np.logaddexp(0.0, -self.b * t)))
+
+
+class FiniteSumProblem:
+    """f(x) = (1/m) sum_i phi_i(a_i^T x) + (mu/2)||x||^2 over the rows a_i
+    of A, phi from ``loss``: each component's gradient phi_i'(a_i^T x) a_i
+    + mu x is beta_i-Lipschitz, beta_i = curvature * max ||a_i||^2 + mu.
+    ``counters`` holds component gradients (``grad_i``) and values
+    (``value_i``, m per value pass).  The benchmark's tracer wraps
+    ``_grad_i`` (phi_i'(t), one per SVRG draw), ``_all_grads`` (one per
+    anchor), ``_full_grad``, ``_full_smooth_value`` and unused ``_value_i``."""
+
+    _value_i = None
+
+    def __init__(self, A, loss, mu):
+        self.A = np.asarray(A, dtype=float)
+        self.m, self.dim = self.A.shape
+        self.loss = loss
         self.mu = float(mu)
-        self.beta_i = float(beta_i)
-        self._full_grad = full_grad
-        self._full_smooth_value = full_smooth_value
-        self.dim = dim
-        self._all_grads = all_grads  # optional vectorized (m, d) gradient table
+        self.beta_i = (loss.curvature * float(np.max(np.sum(self.A * self.A, axis=1)))
+                       + self.mu)
+        self._rows = list(self.A)  # row views, built once for SVRG's draws
+        self._grad_i = loss.deriv_i
         self.counters = {"grad_i": 0, "value_i": 0}
 
     @property
@@ -66,32 +114,22 @@ class FiniteSumProblem:
         """Component gradients over the instance's life (read-only)."""
         return self.counters["grad_i"]
 
-    def component_gradient(self, i, x):
-        self.counters["grad_i"] += 1
-        return self._grad_i(i, x)
+    def _all_grads(self, x):
+        return self.loss.deriv(self.A @ x)
+
+    def _full_grad(self, x):
+        return self.A.T @ self.loss.deriv(self.A @ x) / self.m + self.mu * x
+
+    def _full_smooth_value(self, x):
+        return self.loss.mean_value(self.A @ x) + 0.5 * self.mu * float(x @ x)
 
     def full_gradient(self, x):
         self.counters["grad_i"] += self.m
-        if self._full_grad is not None:
-            return self._full_grad(x)
-        g = np.zeros_like(np.asarray(x, dtype=float))
-        for i in range(self.m):
-            g += self._grad_i(i, x)
-        return g / self.m
-
-    def component_gradients_table(self, x):
-        """All component gradients at x as an (m, d) array; costs one
-        full pass (m evaluations)."""
-        self.counters["grad_i"] += self.m
-        if self._all_grads is not None:
-            return np.asarray(self._all_grads(x), dtype=float)
-        return np.stack([self._grad_i(i, x) for i in range(self.m)])
+        return self._full_grad(x)
 
     def value(self, x):
         self.counters["value_i"] += self.m
-        if self._full_smooth_value is not None:
-            return float(self._full_smooth_value(x))
-        return float(np.mean([self._value_i(i, x) for i in range(self.m)]))
+        return self._full_smooth_value(x)
 
 
 @dataclass
@@ -164,50 +202,65 @@ def gd_run(sub: Subproblem, warm_start, target_accuracy, budget, rng=None, trace
 def svrg_run(sub: Subproblem, warm_start, target_accuracy, budget,
              rng: Optional[RandomStream] = None, trace=None):
     """Standard SVRG epochs: full-gradient anchor plus m stochastic
-    corrections per epoch, step 1/(10 beta) on the subproblem.
+    corrections per epoch, step eta = 1/(10 beta) on the subproblem.
 
-    Anchor component gradients are cached during the anchor pass, so each
-    stochastic draw costs exactly one fresh gradient evaluation and the
-    total count is m * (full passes) + (stochastic draws).  The certified
-    bound is evaluated at each anchor, where the full gradient is free; it
-    returns at the first anchor that meets the target or spends ``budget``.
+    An anchor x~ keeps m scalars s~ = phi'(A x~) and the full gradient
+    g = A^T s~ / m + mu x~ for m component gradients; a draw costs one.
+    The certified bound is evaluated at each anchor, where it is free; the
+    run returns at the first anchor that meets the target or spends
+    ``budget``.  The textbook draw x <- x - eta (grad f_i(x) - grad f_i(x~)
+    + g + kappa (x - center)) is x <- rho x - eta s a_i + (1 - rho) xbar,
+    with s = phi_i'(a_i^T x) - s~_i, rho = 1 - eta (kappa + mu) and
+    xbar = (mu x~ - g + kappa center) / (mu + kappa).  The epoch holds
+    x = sigma u + xbar, so with p = A xbar a draw of i is
 
-    The step x - eta (g_i(x) - G_i + mean + kappa (x - center)) is taken as
-    (1 - eta kappa) x - eta g_i(x) + S_i, S_i = eta (G_i - mean + kappa
-    center) tabled once per epoch; it rounds unlike the unfolded step.
+        t = sigma (a_i . u) + p_i,   sigma <- rho sigma,
+        u <- u - (eta (phi_i'(t) - s~_i) / sigma) a_i,
+
+    and sigma is folded into u below 1e-100, before rho^m can underflow.
+    It rounds unlike the textbook step, in the last digits only.
     """
     if rng is None:
         rng = RandomStream(0, stream_id=31)
-    x = np.array(warm_start, dtype=float)  # owned buffer, updated in place
     prob = sub.problem
-    m = prob.m
+    A, m, mu = prob.A, prob.m, prob.mu
     kappa, center = sub.kappa, sub.center
     eta = 1.0 / (10.0 * sub.beta)
-    shrink = 1.0 - eta * kappa
+    rho = 1.0 - eta * (kappa + mu)
+    rows = prob._rows
     grad_i = prob._grad_i
     counters = prob.counters
     calls0 = counters["grad_i"]
+    x = np.array(warm_start, dtype=float)
     while True:
-        anchor = x.copy()
-        anchor_grads = prob.component_gradients_table(anchor)  # m evals
-        mean_anchor = anchor_grads.mean(axis=0)
-        full = mean_anchor + kappa * (anchor - center)
+        s_anchor = prob._all_grads(x)
+        counters["grad_i"] += m
+        g = A.T @ s_anchor / m + mu * x
+        full = g + kappa * (x - center)
         bound = _certified_bound(sub.mu, full)
         if trace is not None:
-            trace.append((counters["grad_i"], prob.value(anchor)))
+            trace.append((counters["grad_i"], prob.value(x)))
         if bound <= target_accuracy or counters["grad_i"] - calls0 >= budget:
-            return anchor, bound, full
-        rows = list(eta * (anchor_grads + (kappa * center - mean_anchor)))
+            return x, bound, full
+        xbar = (mu * x - g + kappa * center) / (mu + kappa)
+        p = (A @ xbar).tolist()
+        s_anchor = s_anchor.tolist()
+        u = x - xbar
+        sigma = 1.0
         idx = rng.integers(0, m, size=m).tolist()
         k = -1
         try:
             for k, i in enumerate(idx):
-                step = grad_i(i, x) * eta
-                x *= shrink
-                x -= step
-                x += rows[i]
+                a = rows[i]
+                s = grad_i(i, sigma * float(a.dot(u)) + p[i]) - s_anchor[i]
+                sigma *= rho
+                if sigma < 1e-100:
+                    u *= sigma
+                    sigma = 1.0
+                u -= (eta * s / sigma) * a
         finally:
             counters["grad_i"] += k + 1  # one fresh gradient per draw begun
+        x = sigma * u + xbar
 
 
 @dataclass
@@ -269,7 +322,7 @@ def catalyst_run(
     Each subproblem starts at its predicted solution (the module
     docstring gives the rule) with target 0 and a budget of two passes,
     2 m component gradients: one gd step (a gradient at its start and its
-    result), or one svrg epoch (anchor table, m draws, next anchor table).
+    result), or one svrg epoch (anchor pass, m draws, next anchor pass).
 
     kappa = 0 degenerates to one call of the inner method on the original
     problem (q = 1 leaves no extrapolation to do), to ``eps`` within

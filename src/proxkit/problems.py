@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalyst import FiniteSumProblem
+from .catalyst import FiniteSumProblem, LogisticLoss, SquaredLoss
 from .oracles import (
     BoxIndicator,
     CompositeProblem,
@@ -298,44 +298,15 @@ def make_ridge(d: int, m: int, cond: float = 1e4, seed: int = 0) -> SyntheticIns
     A = rng.normal((m, d)) * np.logspace(0.0, -4.0, d)
     xstar = rng.normal(d)
     b = A @ xstar + 0.1 * rng.normal(m)
-    beta_data = float(np.max(np.sum(A * A, axis=1)))
-    mu = beta_data / (cond - 1.0)
-    beta_i = beta_data + mu
-
-    rows, b_list = list(A), b.tolist()
-
-    def grad_i(i, x):
-        a = rows[i]
-        g = mu * x
-        g += (float(a.dot(x)) - b_list[i]) * a
-        return g
-
-    def value_i(i, x):
-        r = float(A[i] @ x) - b[i]
-        return 0.5 * r * r + 0.5 * mu * float(x @ x)
-
-    def full_grad(x):
-        return A.T @ (A @ x - b) / m + mu * x
-
-    def full_value(x):
-        r = A @ x - b
-        return 0.5 * float(r @ r) / m + 0.5 * mu * float(x @ x)
-
-    def all_grads(x):
-        return A * (A @ x - b)[:, None] + mu * x
-
-    problem = FiniteSumProblem(
-        m=m, grad_i=grad_i, value_i=value_i, mu=mu, beta_i=beta_i,
-        full_grad=full_grad, full_smooth_value=full_value, dim=d,
-        all_grads=all_grads,
-    )
+    mu = float(np.max(np.sum(A * A, axis=1))) / (cond - 1.0)
+    problem = FiniteSumProblem(A, SquaredLoss(b), mu)
     opt = np.linalg.solve(A.T @ A / m + mu * np.eye(d), A.T @ b / m)
     return SyntheticInstance(
         name="ridge",
         problem=problem,
         arrays={"A": A, "b": b},
         ground_truth=opt,
-        optimum_value=full_value(opt),
+        optimum_value=problem._full_smooth_value(opt),
     )
 
 
@@ -347,45 +318,16 @@ def make_erm_logistic(d: int, m: int, mu: float = 1e-2, seed: int = 0) -> Synthe
     w = rng.normal(d)
     margins = A @ w + 0.5 * rng.normal(m)
     b = np.where(margins >= 0.0, 1.0, -1.0)
-    beta_i = float(np.max(np.sum(A * A, axis=1))) / 4.0 + mu
-
-    def grad_i(i, x):
-        t = -b[i] * float(A[i] @ x)
-        s = 1.0 / (1.0 + np.exp(-t))  # sigmoid(t)
-        return (-b[i] * s) * A[i] + mu * x
-
-    def value_i(i, x):
-        t = -b[i] * float(A[i] @ x)
-        return float(np.logaddexp(0.0, t)) + 0.5 * mu * float(x @ x)
-
-    def full_grad(x):
-        t = -b * (A @ x)
-        s = 1.0 / (1.0 + np.exp(-t))
-        return A.T @ (-b * s) / m + mu * x
-
-    def full_value(x):
-        t = -b * (A @ x)
-        return float(np.mean(np.logaddexp(0.0, t))) + 0.5 * mu * float(x @ x)
-
-    def all_grads(x):
-        t = -b * (A @ x)
-        s = 1.0 / (1.0 + np.exp(-t))
-        return A * (-b * s)[:, None] + mu * x
-
-    problem = FiniteSumProblem(
-        m=m, grad_i=grad_i, value_i=value_i, mu=mu, beta_i=beta_i,
-        full_grad=full_grad, full_smooth_value=full_value, dim=d,
-        all_grads=all_grads,
-    )
+    problem = FiniteSumProblem(A, LogisticLoss(b), mu)
+    full_value = problem._full_smooth_value
 
     # high-accuracy optimum by damped Newton (smooth, mu-strongly convex)
     w_opt = np.zeros(d)
     for _ in range(100):
-        grad = full_grad(w_opt)
+        grad = problem._full_grad(w_opt)
         if np.linalg.norm(grad) <= 1e-13 * (1.0 + np.linalg.norm(w_opt)):
             break
-        t = -b * (A @ w_opt)
-        s = 1.0 / (1.0 + np.exp(-t))
+        s = -b * problem.loss.deriv(A @ w_opt)  # sigmoid(-b A w), since b = +-1
         H = (A * (s * (1.0 - s))[:, None]).T @ A / m + mu * np.eye(d)
         step = np.linalg.solve(H, grad)
         damp, val = 1.0, full_value(w_opt)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, OracleFailure
 from .oracles import CompositeProblem, SmoothPlusProx, euclidean_norm
 from .report import SolverReport, calls_since
 
@@ -117,6 +117,8 @@ def _solve_model_subproblem(
     try:
         if c.linearize is not None:
             c0, K, Kt = c.linearize(x_t)
+            if not np.all(np.isfinite(c0)):  # else every gap is NaN
+                raise OracleFailure("model subproblem: c(x_t) is not finite")
         else:
             c0 = c.eval(x_t)
             K = functools.partial(c.jvp, x_t)

@@ -10,6 +10,7 @@ from proxkit import (
     BudgetExceeded,
     FiniteSumProblem,
     RandomStream,
+    SquaredLoss,
     Subproblem,
     catalyst_run,
     choose_kappa,
@@ -30,21 +31,23 @@ from proxkit import (
 
 def _textbook_svrg(sub, warm_start, target_accuracy, budget, rng=None, trace=None):
     """The unfolded SVRG step, kept as the reference for ``svrg_run``:
-    v = g_i(x) - G_i + mean + kappa (x - center), x = x - eta v, counted
-    one gradient at a time."""
+    v = g_i(x) - G_i + mean + kappa (x - center), x = x - eta v, with the
+    component gradients g_i(x) = phi_i'(a_i x) a_i + mu x built as vectors
+    and counted one at a time."""
     from proxkit.catalyst import _certified_bound
 
     if rng is None:
         rng = RandomStream(0, stream_id=31)
     x = np.asarray(warm_start, dtype=float).copy()
     prob = sub.problem
-    m = prob.m
+    A, loss, mu, m = prob.A, prob.loss, prob.mu, prob.m
     kappa, center = sub.kappa, sub.center
     eta = 1.0 / (10.0 * sub.beta)
     calls0 = prob.grad_evals
     while True:
         anchor = x.copy()
-        anchor_grads = prob.component_gradients_table(anchor)  # m evals
+        anchor_grads = A * loss.deriv(A @ anchor)[:, None] + mu * anchor
+        prob.counters["grad_i"] += m
         mean_anchor = anchor_grads.mean(axis=0)
         full = mean_anchor + kappa * (anchor - center)
         bound = _certified_bound(sub.mu, full)
@@ -54,8 +57,9 @@ def _textbook_svrg(sub, warm_start, target_accuracy, budget, rng=None, trace=Non
             return anchor, bound, full
         idx = rng.integers(0, m, size=m)
         for i in idx:
-            v = (prob.component_gradient(int(i), x) - anchor_grads[i]
-                 + mean_anchor + kappa * (x - center))
+            grad = loss.deriv_i(i, float(A[i] @ x)) * A[i] + mu * x
+            prob.counters["grad_i"] += 1
+            v = grad - anchor_grads[i] + mean_anchor + kappa * (x - center)
             x = x - eta * v
 
 
@@ -63,14 +67,7 @@ def small_quadratic_sum(m=10, d=4, mu=0.1, seed=51):
     """f_i(x) = 0.5 (a_i x - b_i)^2 + (mu/2)||x||^2 as a FiniteSumProblem."""
     rng = RandomStream(seed)
     A, b = rng.normal((m, d)), rng.normal(m)
-    beta_i = float(np.max(np.sum(A * A, axis=1))) + mu
-    return FiniteSumProblem(
-        m=m,
-        grad_i=lambda i, x: (float(A[i] @ x) - b[i]) * A[i] + mu * x,
-        value_i=lambda i, x: 0.5 * (float(A[i] @ x) - b[i]) ** 2
-        + 0.5 * mu * float(x @ x),
-        mu=mu, beta_i=beta_i, dim=d,
-    ), A, b
+    return FiniteSumProblem(A, SquaredLoss(b), mu), A, b
 
 
 class TestMomentum:
@@ -285,17 +282,16 @@ class TestCatalystRun:
     def test_value_passes_reported_in_components(self, arm, accelerated):
         # every pass of the full smooth value is m component values, from
         # the run's start; the CSV evaluation history counts gradients only
-        base = make_ridge(d=10, m=40, cond=1000.0, seed=5).problem
+        base = make_ridge(d=10, m=40, cond=1000.0, seed=5)
         passes = []
 
-        def full_value(x):
-            passes.append(1)
-            return base._full_smooth_value(x)
+        class CountingLoss(SquaredLoss):
+            def mean_value(self, t):
+                passes.append(1)
+                return super().mean_value(t)
 
-        prob = FiniteSumProblem(
-            m=base.m, grad_i=base._grad_i, value_i=base._value_i,
-            mu=base.mu, beta_i=base.beta_i, full_grad=base._full_grad,
-            full_smooth_value=full_value, dim=10, all_grads=base._all_grads)
+        prob = FiniteSumProblem(base.arrays["A"], CountingLoss(base.arrays["b"]),
+                                base.problem.mu)
         prob.value(np.zeros(10))  # a pass before the run is not the run's
         del passes[:]
         kappa = choose_kappa(prob, arm) if accelerated else 0.0
@@ -336,15 +332,33 @@ class TestCatalystRun:
         assert prob.value(rep.solution) - inst.optimum_value < 1e-7
 
 
+class _SignedSquares(SquaredLoss):
+    """phi_i(t) = w_i (t - b_i)^2 / 2 with w_i = +-1: the average's
+    Hessian A^T diag(w) A / m + mu I is indefinite in its data term."""
+
+    def __init__(self, b, w):
+        super().__init__(b)
+        self.w = w
+
+    def deriv(self, t):
+        return self.w * (t - self.b)
+
+    def deriv_i(self, i, t):
+        return float(self.w[i]) * (t - self._b[i])
+
+    def mean_value(self, t):
+        r = t - self.b
+        return 0.5 * float(self.w @ (r * r)) / r.size
+
+
 def _underclaimed_quadratic_sum(mu, b_scale=1.0):
-    """f_i(x) = 0.5 (a_i x - b_i)^2, m = 10, d = 4, with a declared mu above
-    the smallest curvature of the average, so the secant can fall below mu."""
+    """m = 10, d = 4, with four of the ten components concave, so the
+    smallest curvature of the average lies below its mu and the secant
+    can fall below mu."""
     rng = RandomStream(53)
     A, b = rng.normal((10, 4)), b_scale * rng.normal(10)
-    return FiniteSumProblem(
-        m=10, grad_i=lambda i, x: (float(A[i] @ x) - b[i]) * A[i],
-        value_i=lambda i, x: 0.5 * (float(A[i] @ x) - b[i]) ** 2,
-        mu=mu, beta_i=float(np.max(np.sum(A * A, axis=1))), dim=4)
+    w = np.array([1.0] * 6 + [-1.0] * 4)
+    return FiniteSumProblem(A, _SignedSquares(b, w), mu)
 
 
 class TestWarmStart:
@@ -494,8 +508,9 @@ def _logistic(d, m, seed):
 
 
 class TestFoldedSvrgEpoch:
-    """svrg_run folds the epoch-constant terms into one shift table; it must
-    agree with the textbook step to rounding and count the same calls."""
+    """svrg_run folds the epoch-constant terms into the fixed point xbar
+    and takes each draw on x = sigma u + xbar; it must agree with the
+    textbook step to rounding and count the same calls."""
 
     @pytest.mark.parametrize("make", [_ridge, _logistic])
     @pytest.mark.parametrize("epochs", [1, 3])
@@ -515,38 +530,36 @@ class TestFoldedSvrgEpoch:
 
     @pytest.mark.parametrize("fail_at", [0, 7, 29])
     def test_raising_oracle_leaves_exact_count(self, fail_at):
-        base, _, _ = small_quadratic_sum(m=30, d=4)
         calls = []
 
-        def grad_i(i, x):
-            calls.append(i)
-            # the anchor pass makes m calls, then draw fail_at raises
-            if len(calls) == base.m + fail_at + 1:
-                raise FloatingPointError("draw %d" % fail_at)
-            return base._grad_i(i, x)
+        class RaisingLoss(SquaredLoss):
+            def deriv_i(self, i, t):
+                calls.append(i)
+                if len(calls) == fail_at + 1:  # the anchor pass makes none
+                    raise FloatingPointError("draw %d" % fail_at)
+                return super().deriv_i(i, t)
 
-        prob = FiniteSumProblem(m=base.m, grad_i=grad_i, value_i=base._value_i,
-                                mu=base.mu, beta_i=base.beta_i, dim=4)
+        _, A, b = small_quadratic_sum(m=30, d=4)
+        prob = FiniteSumProblem(A, RaisingLoss(b), 0.1)
         sub = Subproblem(prob, 1.0, np.zeros(4))
         with pytest.raises(FloatingPointError):
             svrg_run(sub, np.ones(4), 0.0, budget=10**6,
                      rng=RandomStream(63, stream_id=31))
-        assert prob.grad_evals == len(calls) == prob.m + fail_at + 1
+        assert len(calls) == fail_at + 1
+        assert prob.grad_evals == prob.m + fail_at + 1
 
-    def test_oracle_returning_its_input(self):
-        # f_i(x) = ||x||^2 / 2 with grad_i returning x itself: the update
-        # must not write through the returned array before using it
-        def problem():
-            return FiniteSumProblem(
-                m=20, grad_i=lambda i, x: x,
-                value_i=lambda i, x: 0.5 * float(x @ x),
-                mu=1.0, beta_i=1.0, dim=5)
-
-        center, warm = RandomStream(64).normal(5), RandomStream(65).normal(5)
-        x_new, _ = _run_epochs(svrg_run, problem(), 2.0, center, warm)
-        x_ref, _ = _run_epochs(_textbook_svrg, problem(), 2.0, center, warm)
+    def test_scale_folds_before_it_underflows(self):
+        # kappa = 1e8 beta makes rho about 0.9, so rho^m underflows within
+        # one epoch of m = 8000 draws unless sigma is folded into u
+        prob = make_ridge(d=5, m=8000, cond=1e3, seed=69).problem
+        kappa = 1e8 * prob.beta_i
+        rs = RandomStream(70)
+        center, warm = rs.normal(5), rs.normal(5)
+        x_new, calls_new = _run_epochs(svrg_run, prob, kappa, center, warm)
+        x_ref, calls_ref = _run_epochs(_textbook_svrg, prob, kappa, center, warm)
+        assert calls_new == calls_ref == 3 * prob.m
+        assert np.all(np.isfinite(x_new))
         assert np.linalg.norm(x_new - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
-        assert np.linalg.norm(x_ref - warm) > 1e-3
 
     def test_does_not_write_into_warm_start_or_center(self):
         prob = _ridge(8, 30, 66)

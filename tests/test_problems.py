@@ -10,6 +10,7 @@ from proxkit import (
     CompositeProblem,
     FiniteSumProblem,
     GENERATORS,
+    LogisticLoss,
     RandomStream,
     SmoothPlusProx,
     make_box_nls,
@@ -142,18 +143,17 @@ class TestStructuralInvariants:
         assert inst.problem.beta_i / inst.problem.mu == pytest.approx(100.0)
 
     def test_ridge_component_gradient_bits(self):
-        # the textbook formula (<a_i, x> - b_i) a_i + mu x, byte for byte
+        # the scalar of the textbook gradient (<a_i, x> - b_i) a_i + mu x,
+        # bit for bit, as a Python float
         inst = make_ridge(d=50, m=40, cond=1e4, seed=9)
-        A, b, mu = inst.arrays["A"], inst.arrays["b"], inst.problem.mu
+        A, b = inst.arrays["A"], inst.arrays["b"]
         xs = RandomStream(10).normal((20, 50)) * np.logspace(-3.0, 3.0, 20)[:, None]
         for x in xs:
-            x0 = x.copy()
             for i in range(40):
-                ref = (float(A[i] @ x) - b[i]) * A[i] + mu * x
-                got = inst.problem._grad_i(i, x)
-                assert got.tobytes() == ref.tobytes()
-                assert got is not x
-            assert np.array_equal(x, x0)
+                t = float(A[i] @ x)
+                got = inst.problem._grad_i(i, t)
+                assert type(got) is float
+                assert got == t - b[i]
 
     def test_logistic_optimum_is_stationary(self):
         inst = make_erm_logistic(d=5, m=30, mu=1e-2, seed=8)
@@ -165,10 +165,22 @@ class TestStructuralInvariants:
         inst = make_erm_logistic(d=5, m=30, mu=1e-2, seed=9)
         prob = inst.problem
         x = RandomStream(103).normal(5)
-        mean = np.mean([prob._grad_i(i, x) for i in range(prob.m)], axis=0)
+        t = prob.A @ x
+        scalars = np.array([prob._grad_i(i, float(t[i])) for i in range(prob.m)])
+        mean = np.mean(scalars[:, None] * prob.A, axis=0) + prob.mu * x
         assert np.allclose(prob.full_gradient(x), mean)
-        table = prob.component_gradients_table(x)
-        assert np.allclose(table.mean(axis=0), mean)
+        assert np.allclose(prob._all_grads(x), scalars)
+
+    def test_logistic_draw_derivative_is_finite_at_large_margins(self):
+        # the per-draw derivative splits the sigmoid by sign, since
+        # math.exp raises OverflowError where np.exp returns inf
+        loss = LogisticLoss(np.array([1.0, -1.0]))
+        for t in (800.0, -800.0):
+            with np.errstate(over="ignore"):
+                vec = loss.deriv(np.array([t, t]))
+            for i in (0, 1):
+                got = loss.deriv_i(i, t)
+                assert np.isfinite(got) and got == vec[i]
 
     def test_z2_sync_truth_optimal_without_flips(self):
         inst = make_z2_sync(d=8, edge_prob=1.0, flip_prob=0.0, seed=10)

@@ -8,6 +8,7 @@ from proxkit import (
     CompositeProblem,
     L1Mean,
     L1Norm,
+    OracleFailure,
     RandomStream,
     SmoothMap,
     Zero,
@@ -75,6 +76,17 @@ class TestModelSubproblem:
         with np.errstate(all="ignore"), pytest.raises(BudgetExceeded):
             _solve_model_subproblem(prob, np.ones(2), 1.0, gap_tol=1e-8, max_iters=50)
         assert prob.counters["c_vjp"] == 2 + 50
+
+    def test_non_finite_data_fails_at_once(self):
+        # a NaN in phase retrieval's A makes c(x_t) and every PDHG gap NaN;
+        # the prox map must fail on its first model solve, not run each
+        # solve to its no-improvement exit and end on its step budget
+        inst = make_phase_retrieval(d=5, m=30, outlier_frac=0.1, seed=4)
+        inst.arrays["A"][3, 2] = np.nan
+        prob = inst.problem
+        with pytest.raises(OracleFailure, match="c\\(x_t\\) is not finite"):
+            prox_map(prob, 0.01, RandomStream(45).normal(5), inner_tol=1e-8)
+        assert prob.counters["c_eval"] == 1
 
     def test_budget_exceeded_carries_best_point(self):
         prob, _, _ = linear_l1mean_problem()

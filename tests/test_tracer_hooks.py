@@ -72,3 +72,23 @@ def test_traced_pgsg_counts_one_wrapped_subgradient_per_inner_step():
     assert steps == 2 * proxkit.default_schedule(sp.rho).inner_counts(0) - 1
     assert tracer.oracle["subgrad"] == steps
     assert tracer.spans["pgsg_run"].counts["direct.subgrad"] == steps
+
+
+def test_traced_catalyst_svrg_counts_every_component_gradient():
+    # the tracer counts component gradients through the callables it
+    # wraps: _grad_i once per SVRG draw, _all_grads m per anchor (and one
+    # grad_table), _full_grad m per full gradient
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        ridge = proxkit.GENERATORS["ridge"](d=5, m=20, cond=100.0, seed=0)
+        prob = ridge.problem
+        report = proxkit.catalyst_run(
+            prob, proxkit.inner_method("svrg"), proxkit.choose_kappa(prob, "svrg"),
+            np.zeros(5), outer_iters=3, eps=0.0,
+            rng=proxkit.RandomStream(0, stream_id=17))
+    finally:
+        tracer.remove()
+    assert tracer.oracle["grad_i"] == report.oracle_calls["grad_i"] == 20 + 3 * 3 * 20
+    # each outer step is one epoch between two anchors
+    assert tracer.spans["InnerMethod.run"].counts["grad_table"] == 2 * 3
