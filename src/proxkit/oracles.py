@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -179,10 +180,12 @@ class SmoothMap:
     """C^1-smooth map c: R^d -> R^m with beta-Lipschitz gradient,
     accessed only through evaluations and Jacobian-vector products.
 
-    ``linearize``, when provided, returns (c(x), K, K^T) with any
-    anchor-dependent intermediates precomputed, so repeated Jacobian
-    products at a fixed anchor avoid redundant work.  It must agree with
-    eval/jvp/vjp exactly.
+    ``linearize(x)``, the one way a solver reads c, returns (c(x), K, K^T)
+    at x.  A map's own may precompute anchor-dependent work for repeated
+    products and must agree with eval/jvp/vjp exactly.  The default is
+    x -> (eval(x), partial(jvp, x), partial(vjp, x)) over the callables
+    given at construction, not ``self.eval`` at call time, so a wrapper
+    put on both ``eval`` and ``linearize`` counts each call once.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -192,6 +195,11 @@ class SmoothMap:
     dim_in: int
     dim_out: int
     linearize: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.linearize is None:
+            c, jvp, vjp = self.eval, self.jvp, self.vjp
+            self.linearize = lambda x: (c(x), partial(jvp, x), partial(vjp, x))
 
 
 class CompositeProblem:
@@ -221,19 +229,13 @@ class CompositeProblem:
         self.counters["c_eval"] += 1
         return self.c.eval(np.asarray(x, dtype=float))
 
-    def c_jvp(self, x, v):
-        self.counters["c_jvp"] += 1
-        return self.c.jvp(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
-
-    def c_vjp(self, x, u):
-        self.counters["c_vjp"] += 1
-        return self.c.vjp(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-
 
 class SmoothPlusProx:
     """F(x) = s(x) + g(x) with s smooth (beta-Lipschitz gradient,
     rho-weakly convex) and g prox-friendly: the additive composite, i.e.
-    g + h(c(x)) with h the identity, which is 1-Lipschitz (``L = 1``)."""
+    g + h(c(x)) with h the identity, which is 1-Lipschitz (``L = 1``).
+    ``value`` counts itself; a solver that calls ``smooth_grad`` or
+    ``g.prox`` adds those calls to ``counters``."""
 
     L = 1.0
 
@@ -250,11 +252,3 @@ class SmoothPlusProx:
     def value(self, x) -> float:
         self.counters["value"] += 1
         return float(self.smooth_value(x)) + self.g.value(x)
-
-    def grad(self, x):
-        self.counters["grad"] += 1
-        return self.smooth_grad(np.asarray(x, dtype=float))
-
-    def g_prox(self, nu, z):
-        self.counters["g_prox"] += 1
-        return self.g.prox(nu, z)

@@ -31,7 +31,6 @@ gradient norm of the Moreau envelope of F with parameter 1/(2 beta).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -71,11 +70,12 @@ _CHECK_EVERY = 25
 
 @dataclass
 class SurrogateGradient:
-    """Norm of the scaled prox-linear step beta * (x_next - x_t), and the
-    model gap the step certified."""
+    """Norm of the scaled prox-linear step beta * (x_next - x_t), the
+    model gap the step certified, and F(x_t) from the model's c(x_t)."""
 
     norm: float
     gap: float
+    value: float | None = None
 
 
 def _solve_model_subproblem(
@@ -89,9 +89,10 @@ def _solve_model_subproblem(
     """Accelerated primal-dual linesearch (Malitsky & Pock, arXiv
     1608.08883) for min_x g(x) + h(Kx + e) + (beta/2)||x - x_t||^2.
 
-    K is the Jacobian of c at x_t and e = c(x_t) - K x_t.  Returns
-    (x, dual, gap).  The dual feasible set is dom h*, reached through
-    h.dual_project, so the dual objective never involves h* explicitly.
+    K is the Jacobian of c at x_t and e = c(x_t) - K x_t, read by one
+    ``c.linearize(x_t)``.  Returns (x, dual, gap, F(x_t)).  The dual
+    feasible set is dom h*, reached through h.dual_project, so the dual
+    objective never involves h* explicitly.
     The update rules are in the module docstring.  The first tau is
     1/sqrt(||K^T K v||) >= 1/||K|| for the normalized ones vector v,
     which the linesearch then corrects.
@@ -115,14 +116,10 @@ def _solve_model_subproblem(
         return primal - dual
 
     try:
-        if c.linearize is not None:
-            c0, K, Kt = c.linearize(x_t)
-            if not np.all(np.isfinite(c0)):  # else every gap is NaN
-                raise OracleFailure("model subproblem: c(x_t) is not finite")
-        else:
-            c0 = c.eval(x_t)
-            K = functools.partial(c.jvp, x_t)
-            Kt = functools.partial(c.vjp, x_t)
+        c0, K, Kt = c.linearize(x_t)
+        if not np.all(np.isfinite(c0)):  # else every gap is NaN
+            raise OracleFailure("model subproblem: c(x_t) is not finite")
+        value = g.value(x_t) + h.value(c0)
         Kx = K(x_t)
         e = c0 - Kx
         x = x_t.copy()
@@ -179,17 +176,17 @@ def _solve_model_subproblem(
                     best_gap = gap
                     best_x = x.copy()
                 if gap <= gap_tol:
-                    return x, u, float(max(gap, 0.0))
+                    return x, u, float(max(gap, 0.0)), value
                 # stop if the iterate has hit machine precision, or the
                 # computable gap has stalled at its numerical floor
                 if np.linalg.norm(x - x_prev_check) <= 1e-15 * (1.0 + np.linalg.norm(x)):
                     stagnant += 1
                     if stagnant >= 3:
-                        return best_x, u, float(max(best_gap, 0.0))
+                        return best_x, u, float(max(best_gap, 0.0)), value
                 else:
                     stagnant = 0
                 if k - last_improve >= 10_000:
-                    return best_x, u, float(max(best_gap, 0.0))
+                    return best_x, u, float(max(best_gap, 0.0)), value
                 x_prev_check = x.copy()
 
         raise BudgetExceeded(
@@ -214,18 +211,20 @@ def proxlinear_step(
     """One prox-linear step; returns (x_next, SurrogateGradient, dual).
 
     On a ``SmoothPlusProx`` the model is solved exactly by one
-    proximal-gradient step, so the gap is 0 and there is no dual."""
+    proximal-gradient step, so the gap is 0 and there is no dual or value."""
     x_t = np.asarray(x_t, dtype=float)
     if isinstance(problem, SmoothPlusProx):
-        grad = problem.grad(x_t)
-        x_next = problem.g_prox(1.0 / beta, x_t - grad / beta)
-        gap = 0.0
-        dual = None
+        problem.counters["grad"] += 1
+        grad = problem.smooth_grad(x_t)
+        problem.counters["g_prox"] += 1
+        x_next = problem.g.prox(1.0 / beta, x_t - grad / beta)
+        gap, dual, value = 0.0, None, None
     else:
-        x_next, dual, gap = _solve_model_subproblem(
+        x_next, dual, gap, value = _solve_model_subproblem(
             problem, x_t, beta, gap_tol=inner_tol, warm_dual=warm_dual
         )
-    surr = SurrogateGradient(norm=float(np.linalg.norm(beta * (x_next - x_t))), gap=gap)
+    surr = SurrogateGradient(norm=float(np.linalg.norm(beta * (x_next - x_t))),
+                             gap=gap, value=value)
     return x_next, surr, dual
 
 
@@ -255,7 +254,8 @@ def proxlinear_run(
 
     ``inner_tol`` is the gap the stopping step must certify: a loosely
     solved step cannot stop the run, however small its surrogate norm.
-    Oracle calls are counted from the start of this run.
+    A composite step records F(x_t) from its model's c(x_t), so it
+    evaluates c once.  Oracle calls are counted from the start of this run.
     """
     x = np.asarray(x0, dtype=float).copy()
     if beta is None:
@@ -274,7 +274,8 @@ def proxlinear_run(
             problem, x, beta, inner_tol=gap_tol, warm_dual=dual
         )
         evals = sum(calls_since(problem.counters, start).values())
-        report.record(t, problem.value(x), surr.norm, evals)
+        value = problem.value(x) if surr.value is None else surr.value
+        report.record(t, value, surr.norm, evals)
         x = x_next
         if surr.norm <= stat_tol and surr.gap <= inner_tol:
             break

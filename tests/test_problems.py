@@ -67,7 +67,7 @@ class TestStructuralInvariants:
         assert isinstance(prob, SmoothPlusProx) and prob.rho == 0.0
         for x in RandomStream(100).normal((5, prob.dim)):
             fd = finite_difference_gradient(prob.smooth_value, x)
-            g = prob.grad(x)
+            g = prob.smooth_grad(x)
             assert np.linalg.norm(g - fd) <= 1e-7 * (1.0 + np.linalg.norm(fd))
 
     @pytest.mark.parametrize(

@@ -46,7 +46,8 @@ class TestModelSubproblem:
         prob, A, b = linear_l1mean_problem()
         x_t = RandomStream(43).normal(4)
         beta = 2.0
-        x, u, gap = _solve_model_subproblem(prob, x_t, beta, gap_tol=1e-8)
+        x, u, gap, value = _solve_model_subproblem(prob, x_t, beta, gap_tol=1e-8)
+        assert value == prob.value(x_t)  # F(x_t), from the model's c(x_t)
 
         def obj(v):
             return np.mean(np.abs(A @ v - b)) + 0.5 * beta * float((v - x_t) @ (v - x_t))
@@ -60,7 +61,9 @@ class TestModelSubproblem:
 
     def test_non_finite_products_end_on_the_budget(self):
         # a NaN product fails every comparison, so a linesearch that
-        # waits for its inequality to hold would shrink the step forever
+        # waits for its inequality to hold would shrink the step forever.
+        # c(x_t) is finite, so the solve gets past its finiteness check,
+        # and only the products are not
         A = np.array([[1.0, np.inf], [2.0, 1.0], [0.5, -1.0]])
         vjps = []
 
@@ -70,7 +73,7 @@ class TestModelSubproblem:
                 raise RuntimeError("the linesearch did not end")
             return A.T @ u
 
-        c = SmoothMap(eval=lambda x: A @ x, jvp=lambda x, v: A @ v, vjp=vjp,
+        c = SmoothMap(eval=lambda x: np.zeros(3), jvp=lambda x, v: A @ v, vjp=vjp,
                       beta=0.0, dim_in=2, dim_out=3)
         prob = CompositeProblem(Zero(), L1Mean(3), c)
         with np.errstate(all="ignore"), pytest.raises(BudgetExceeded):
@@ -86,6 +89,29 @@ class TestModelSubproblem:
         prob = inst.problem
         with pytest.raises(OracleFailure, match="c\\(x_t\\) is not finite"):
             prox_map(prob, 0.01, RandomStream(45).normal(5), inner_tol=1e-8)
+        assert prob.counters["c_eval"] == 1
+
+    def test_non_finite_data_fails_at_once_through_the_default_linearize(self):
+        # box NLS gives no linearize of its own.  Its vjp is rebuilt to
+        # raise after 1,000 calls, so a model solve that ran on with NaN
+        # data would fail here rather than hang; it is passed at
+        # construction, because the default linearize captures it then
+        inst = make_box_nls(d=4, m=6, seed=6)
+        inst.arrays["Q"][1, 2, 3] = np.nan
+        c = inst.problem.c
+        vjps = []
+
+        def vjp(x, u):
+            vjps.append(1)
+            if len(vjps) > 1000:
+                raise RuntimeError("the model solve did not stop")
+            return c.vjp(x, u)
+
+        capped = SmoothMap(eval=c.eval, jvp=c.jvp, vjp=vjp, beta=c.beta,
+                           dim_in=c.dim_in, dim_out=c.dim_out)
+        prob = CompositeProblem(inst.problem.g, inst.problem.h, capped)
+        with pytest.raises(OracleFailure, match="c\\(x_t\\) is not finite"):
+            prox_map(prob, 0.01, RandomStream(45).normal(4), inner_tol=1e-8)
         assert prob.counters["c_eval"] == 1
 
     def test_budget_exceeded_carries_best_point(self):
@@ -106,21 +132,18 @@ def _textbook_pdhg(problem, x_t, beta, gap_tol, max_iters=200_000,
     iteration, that the first trial step lies in the method's allowed
     interval and that the accepted step meets the linesearch inequality."""
     g, h = problem.g, problem.h
-    if problem.c.linearize is not None:
-        c0, K_raw, Kt_raw = problem.c.linearize(x_t)
-        problem.counters["c_eval"] += 1
+    c0, K_raw, Kt_raw = problem.c.linearize(x_t)
+    problem.counters["c_eval"] += 1
+    value = g.value(x_t) + h.value(c0)
 
-        def K(v):
-            problem.counters["c_jvp"] += 1
-            return K_raw(v)
+    def K(v):
+        problem.counters["c_jvp"] += 1
+        return K_raw(v)
 
-        def Kt(u):
-            problem.counters["c_vjp"] += 1
-            return Kt_raw(u)
-    else:
-        c0 = problem.c_eval(x_t)
-        K = lambda v: problem.c_jvp(x_t, v)
-        Kt = lambda u: problem.c_vjp(x_t, u)
+    def Kt(u):
+        problem.counters["c_vjp"] += 1
+        return Kt_raw(u)
+
     Kx = K(x_t)
     e = c0 - Kx
     x = x_t.copy()
@@ -178,15 +201,15 @@ def _textbook_pdhg(problem, x_t, beta, gap_tol, max_iters=200_000,
                 best_gap = gap
                 best_x = x.copy()
             if gap <= gap_tol:
-                return x, u, float(max(gap, 0.0))
+                return x, u, float(max(gap, 0.0)), value
             if np.linalg.norm(x - x_prev_check) <= 1e-15 * (1.0 + np.linalg.norm(x)):
                 stagnant += 1
                 if stagnant >= 3:
-                    return best_x, u, float(max(best_gap, 0.0))
+                    return best_x, u, float(max(best_gap, 0.0)), value
             else:
                 stagnant = 0
             if k - last_improve >= 10_000:
-                return best_x, u, float(max(best_gap, 0.0))
+                return best_x, u, float(max(best_gap, 0.0)), value
             x_prev_check = x.copy()
     raise BudgetExceeded("model subproblem", best_point=best_x, achieved=best_gap)
 
@@ -222,10 +245,10 @@ def _abs_x2_minus_one_shifted():
 
 
 _PDHG_CASES = {
-    # the linearize path
+    # a map's own linearize
     "phase_retrieval": (lambda: _criterion_4_start()[0].problem,
                         lambda: _criterion_4_start()[1], 1e-13),
-    # jvp/vjp path, L1Norm h, a prox map's shifted g
+    # the default linearize, L1Norm h, a prox map's shifted g
     "abs_x2_minus_one": (_abs_x2_minus_one_shifted, lambda: np.array([1.7]), 1e-12),
     # L2Norm h, BoxIndicator g
     "box_nls": (lambda: make_box_nls(d=5, m=8, seed=3).problem,
@@ -246,10 +269,10 @@ def _pdhg_outcome(solve, make_problem, x_t, **kwargs):
     problem = make_problem()
     beta = max(problem.L * problem.beta, 1.0)
     try:
-        x, u, gap = solve(problem, x_t, beta, **kwargs)
+        x, u, gap, value = solve(problem, x_t, beta, **kwargs)
     except BudgetExceeded as exc:
-        x, u, gap = exc.best_point, None, exc.achieved
-    return x, u, gap, dict(problem.counters)
+        x, u, gap, value = exc.best_point, None, exc.achieved, None
+    return x, u, gap, value, dict(problem.counters)
 
 
 @pytest.mark.parametrize("case", sorted(_PDHG_CASES))
@@ -271,9 +294,9 @@ def test_pdhg_loop_is_textbook_bit_for_bit(case, short):
         a, b = np.asarray(a), np.asarray(b)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
-    assert ref[3] == new[3]
+    assert ref[3] == new[3] and ref[4] == new[4]  # F(x_t) and the counters
     # the solve ran through at least two gap checks
-    assert new[3]["c_jvp"] >= 2 + 2 * _CHECK_EVERY and new[3]["c_eval"] == 1
+    assert new[4]["c_jvp"] >= 2 + 2 * _CHECK_EVERY and new[4]["c_eval"] == 1
     assert np.array_equal(x_t, make_start())  # the anchor is left as it was
 
 

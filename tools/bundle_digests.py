@@ -17,7 +17,12 @@ script imports proxkit from ``TREE/src`` and prints one line per output:
   the only accelerated SVRG runs here;
 * ``pgsg_robust_pr/seedS SHA``: the solution, stationarity and objective
   histories of each of the four solves of perfbench's ``PgsgRobustPR``
-  workload, since no criterion-9 config runs PGSG.
+  workload, since no criterion-9 config runs PGSG;
+* ``sharp_pr/seedS SHA``: the solution, objective and stationarity
+  histories of each of the six prox-linear solves of perfbench's
+  ``SharpPR`` workload, since no criterion-9 config runs a composite.
+  The evals history is left out: it counts oracle calls, and a change
+  that reads c fewer times moves it without moving an iterate.
 
 Two trees that make the same bytes print the same lines, so the gate
 "byte-identical bundles and demo output" is one ``diff`` of the two
@@ -73,6 +78,20 @@ def demo_lines(tree, scratch):
     return lines
 
 
+def _seed_lines(workloads, workload, scratch, fields):
+    """One line per solve of a workload whose tasks start with their seed:
+    the digest of the report's ``fields``, in that order."""
+    tasks = workload.build(0, scratch)
+    lines = []
+    for task, rep in sorted(zip(tasks, workload.run(tasks)),
+                            key=lambda pair: pair[0][0]):
+        if isinstance(rep, Exception):
+            raise RuntimeError("%s seed%d raised %r" % (workload.name, task[0], rep))
+        digest = workloads._digest(*(getattr(rep, f) for f in fields))
+        lines.append("%s/seed%d %s" % (workload.name, task[0], digest))
+    return lines
+
+
 def bundle_lines(tree, scratch):
     import proxkit
 
@@ -101,15 +120,10 @@ def bundle_lines(tree, scratch):
                                    rep.stationarity_history, rep.evals_history,
                                    rep.iteration_index)
         lines.append("catalyst_ridge/%s/seed%d %s" % (arm, s, digest))
-    workload = workloads.PgsgRobustPR()
-    tasks = workload.build(0, scratch)
-    for (s, _, _), rep in sorted(zip(tasks, workload.run(tasks)),
-                                 key=lambda pair: pair[0][0]):
-        if isinstance(rep, Exception):
-            raise RuntimeError("pgsg_robust_pr seed%d raised %r" % (s, rep))
-        digest = workloads._digest(rep.solution, rep.stationarity_history,
-                                   rep.objective_history)
-        lines.append("pgsg_robust_pr/seed%d %s" % (s, digest))
+    lines += _seed_lines(workloads, workloads.PgsgRobustPR(), scratch,
+                         ("solution", "stationarity_history", "objective_history"))
+    lines += _seed_lines(workloads, workloads.SharpPR(), scratch,
+                         ("solution", "objective_history", "stationarity_history"))
     return lines
 
 
