@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, NonconvexSubproblem
+from .errors import BudgetExceeded, NonconvexSubproblem, OracleFailure
 from .oracles import CompositeProblem, ShiftedQuadraticProx, SmoothPlusProx, euclidean_norm
 from .proxlinear import _stop_gap, proxlinear_run
 from .report import SolverReport, calls_since
@@ -50,22 +50,23 @@ class MoreauPoint:
     prox_value: float
 
 
-def _fista_prox(f: SmoothPlusProx, nu, z, inner_tol, budget):
+def _fista_prox(f: SmoothPlusProx, nu, z, inner_tol, budget, start=None):
     """Strongly convex FISTA on the prox subproblem of f = s + g at z:
     min s(x) + ||x - z||^2/(2 nu) + g(x), modulus 1/nu - rho, smoothness
-    beta + 1/nu.
+    beta + 1/nu, begun at ``start`` (the center z if None).
 
     Returns (x, residual) where residual is the prox-gradient mapping norm.
     Each step is the textbook update of tests/test_moreau.py, operation
     for operation.  Gradients and prox steps go on ``f.counters``, one of
-    each per step begun.
+    each per step begun.  A residual that is not finite raises
+    OracleFailure at once: no later step can repair it.
     """
     lips = f.beta + 1.0 / nu
     sq = math.sqrt((1.0 / nu - f.rho) / lips)
     momentum = (1.0 - sq) / (1.0 + sq)
     step = 1.0 / lips
     grad, prox = f.smooth_grad, f.g.prox
-    x = y = z
+    x = y = z if start is None else start
     residual = np.inf
     k = 0
     try:
@@ -74,6 +75,9 @@ def _fista_prox(f: SmoothPlusProx, nu, z, inner_tol, budget):
             residual = lips * euclidean_norm(x_new - y)
             if residual <= inner_tol:
                 return x_new, residual
+            if not residual < math.inf:
+                raise OracleFailure(
+                    "prox subproblem: residual %r at FISTA step %d" % (residual, k))
             y = x_new + (x_new - x) * momentum
             x = x_new
     finally:
@@ -87,13 +91,14 @@ def _fista_prox(f: SmoothPlusProx, nu, z, inner_tol, budget):
     )
 
 
-def prox_map(f, nu: float, z, inner_tol: float = 1e-10) -> MoreauPoint:
+def prox_map(f, nu: float, z, inner_tol: float = 1e-10, *, _start=None) -> MoreauPoint:
     """Compute prox_{nu f}(z) together with the envelope value/gradient.
 
     Requires nu < 1/rho(f) so the subproblem is strongly convex.  An
     iterative solve (FISTA or prox-linear) stops once its certificate is
     at most ``inner_tol``; ``proximal_point_run`` passes a tolerance that
-    shrinks with the outer progress, down to its own ``inner_tol``.
+    shrinks with the outer progress, down to its own ``inner_tol``, and
+    ``_start``, the point FISTA begins at (the other branches ignore it).
     """
     z = np.asarray(z, dtype=float)
     rho = float(getattr(f, "rho", 0.0))
@@ -110,7 +115,7 @@ def prox_map(f, nu: float, z, inner_tol: float = 1e-10) -> MoreauPoint:
         p = np.asarray(f.prox(nu, z), dtype=float)
         cert = 0.0
     elif isinstance(f, SmoothPlusProx):
-        p, cert = _fista_prox(f, nu, z, inner_tol, _FISTA_STEPS)
+        p, cert = _fista_prox(f, nu, z, inner_tol, _FISTA_STEPS, _start)
     elif isinstance(f, CompositeProblem):
         p, cert = _prox_composite(f, nu, z, inner_tol, _COMPOSITE_STEPS)
     else:
@@ -168,6 +173,9 @@ def proximal_point_run(
     ``inner_tol``, so ``inner_tol`` is the floor of the schedule.  The run
     stops on a step with stationarity below ``step_tol`` whose prox map
     certified ``max(inner_tol, 0.01 * step_tol)`` or better.
+    Prox map t + 1 begins its FISTA at x_t + (x_t - x_{t-1}), where the
+    iteration is heading (the prox map is 1-Lipschitz, and late iterates
+    move nearly along a line); the first begins at its center.
     Calls are counted on ``f.counters`` from the start of this run, or one
     per iteration for a bundle without counters (a closed-form prox).
     """
@@ -175,18 +183,21 @@ def proximal_point_run(
     report = SolverReport()
     counters = getattr(f, "counters", None)
     start = dict(counters) if counters else None
+    base = sum(start.values()) if counters else 0
     value = f.value(x)
     stop_tol = max(inner_tol, _INNER_REL * step_tol)
     tol = inner_tol
+    x_start = None
     for t in range(max_iters):
-        mp = prox_map(f, nu, x, inner_tol=tol)
+        mp = prox_map(f, nu, x, inner_tol=tol, _start=x_start)
         stat = euclidean_norm(mp.envelope_gradient)
-        evals = sum(calls_since(counters, start).values()) if counters else t + 1
+        evals = sum(counters.values()) - base if counters else t + 1
         report.record(t, value, stat, evals)
-        x, value = mp.prox_point, mp.prox_value
+        x_prev, x, value = x, mp.prox_point, mp.prox_value
         if stat < step_tol and mp.certificate <= stop_tol:
             break
         tol = max(inner_tol, _INNER_REL * stat)
+        x_start = x + (x - x_prev)
     report.solution = x
     report.oracle_calls = calls_since(counters, start) if counters else {}
     return report

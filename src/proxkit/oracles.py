@@ -65,7 +65,7 @@ class L1Norm:
         self.lip = float(weight)
 
     def value(self, x):
-        return self.weight * float(np.sum(np.abs(x)))
+        return self.weight * float(np.abs(x).sum())
 
     def prox(self, nu, z):
         t = nu * self.weight

@@ -211,7 +211,8 @@ def proxlinear_step(
     """One prox-linear step; returns (x_next, SurrogateGradient, dual).
 
     On a ``SmoothPlusProx`` the model is solved exactly by one
-    proximal-gradient step, so the gap is 0 and there is no dual or value."""
+    proximal-gradient step, so the gap is 0 and there is no dual or value.
+    A step whose norm is not finite raises OracleFailure."""
     x_t = np.asarray(x_t, dtype=float)
     if isinstance(problem, SmoothPlusProx):
         problem.counters["grad"] += 1
@@ -223,8 +224,10 @@ def proxlinear_step(
         x_next, dual, gap, value = _solve_model_subproblem(
             problem, x_t, beta, gap_tol=inner_tol, warm_dual=warm_dual
         )
-    surr = SurrogateGradient(norm=float(np.linalg.norm(beta * (x_next - x_t))),
-                             gap=gap, value=value)
+    norm = euclidean_norm(beta * (x_next - x_t))
+    if not norm < math.inf:  # else a run on NaN data returns NaN rows
+        raise OracleFailure("prox-linear step: step norm %r is not finite" % norm)
+    surr = SurrogateGradient(norm=norm, gap=gap, value=value)
     return x_next, surr, dual
 
 
@@ -265,6 +268,7 @@ def proxlinear_run(
 
     report = SolverReport()
     start = dict(problem.counters)
+    base = sum(start.values())
 
     dual = None
     gap_tol = max(inner_tol, _FIRST_INNER_TOL)
@@ -273,7 +277,7 @@ def proxlinear_run(
         x_next, surr, dual = proxlinear_step(
             problem, x, beta, inner_tol=gap_tol, warm_dual=dual
         )
-        evals = sum(calls_since(problem.counters, start).values())
+        evals = sum(problem.counters.values()) - base
         value = problem.value(x) if surr.value is None else surr.value
         report.record(t, value, surr.norm, evals)
         x = x_next

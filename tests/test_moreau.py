@@ -9,6 +9,7 @@ from proxkit import (
     CompositeProblem,
     L1Norm,
     NonconvexSubproblem,
+    OracleFailure,
     RandomStream,
     SmoothMap,
     SmoothPlusProx,
@@ -96,6 +97,16 @@ class TestSmoothPlusProx:
         err = np.linalg.norm(mp.envelope_gradient - fd)
         assert err <= 1e-4 * (1.0 + np.linalg.norm(fd))
 
+    def test_non_finite_data_fails_at_once(self):
+        # a NaN in lasso's A makes the first FISTA residual NaN; the prox
+        # map must fail on it, not run its 200,000-step budget
+        inst = make_lasso(d=50, m=100, lam=0.1, seed=4)
+        inst.arrays["A"][3, 2] = np.nan
+        f = inst.problem
+        with pytest.raises(OracleFailure, match="residual nan at FISTA step 1"):
+            prox_map(f, 1.0 / (2.0 * f.beta), np.ones(50))
+        assert f.counters["grad"] == f.counters["g_prox"] == 1
+
 
 class TestCompositeProx:
     def test_requires_nu_below_inverse_rho(self):
@@ -173,10 +184,11 @@ class TestCompositeProx:
         assert f.counters["grad"] > 0
 
 
-def textbook_fista(smooth_grad, lips, mu, g, z0, inner_tol, budget):
-    """The FISTA prox loop as the method states it, the reference that
-    ``moreau._fista_prox`` must match bit for bit."""
-    x = np.asarray(z0, dtype=float).copy()
+def textbook_fista(smooth_grad, lips, mu, g, start, inner_tol, budget):
+    """The FISTA prox loop as the method states it, begun at ``start``,
+    the reference that ``moreau._fista_prox`` must match bit for bit.
+    ``smooth_grad`` carries the prox center."""
+    x = np.asarray(start, dtype=float).copy()
     y = x.copy()
     sq = np.sqrt(mu / lips)
     momentum = (1.0 - sq) / (1.0 + sq)
@@ -210,9 +222,10 @@ class TestFusedFista:
         (identity_gradient_bundle, 3),
     ]
 
-    def _reference(self, f, nu, z, tol, budget):
+    def _reference(self, f, nu, z, tol, budget, start=None):
         return textbook_fista(lambda x: f.smooth_grad(x) + (x - z) / nu,
-                              f.beta + 1.0 / nu, 1.0 / nu - f.rho, f.g, z, tol, budget)
+                              f.beta + 1.0 / nu, 1.0 / nu - f.rho, f.g,
+                              z if start is None else start, tol, budget)
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     @pytest.mark.parametrize("tol", [1e-3, 1e-10])
@@ -240,6 +253,40 @@ class TestFusedFista:
             self._reference(f, nu, z, 1e-14, 3)
         with pytest.raises(BudgetExceeded) as err:
             moreau._fista_prox(f, nu, z, 1e-14, 3)
+        assert err.value.best_point.tobytes() == ref.value.best_point.tobytes()
+        assert err.value.achieved == ref.value.achieved
+        assert f.counters["grad"] == f.counters["g_prox"] == 3
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("tol", [1e-3, 1e-10])
+    def test_bit_identical_to_textbook_loop_from_a_start(self, case, tol):
+        # begun away from its center, the loop still centers the
+        # subproblem at z and leaves both inputs untouched
+        make, d = self.CASES[case]
+        f = make()
+        nu = 1.0 / (2.0 * f.beta)
+        z = RandomStream(70 + case).normal(d)
+        start = z + 0.1 * RandomStream(90 + case).normal(d)
+        z_before, start_before = z.copy(), start.copy()
+        x_ref, res_ref, steps = self._reference(f, nu, z, tol, 200_000, start)
+        x, res = moreau._fista_prox(f, nu, z, tol, 200_000, start)
+        assert x.tobytes() == x_ref.tobytes()
+        assert res == res_ref
+        assert z.tobytes() == z_before.tobytes()
+        assert start.tobytes() == start_before.tobytes()
+        assert f.counters["grad"] == f.counters["g_prox"] == steps
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_budget_exhausted_raise_matches_from_a_start(self, case):
+        make, d = self.CASES[case]
+        f = make()
+        nu = 1.0 / (2.0 * f.beta)
+        z = RandomStream(80 + case).normal(d)
+        start = z + 0.1 * RandomStream(100 + case).normal(d)
+        with pytest.raises(BudgetExceeded) as ref:
+            self._reference(f, nu, z, 1e-14, 3, start)
+        with pytest.raises(BudgetExceeded) as err:
+            moreau._fista_prox(f, nu, z, 1e-14, 3, start)
         assert err.value.best_point.tobytes() == ref.value.best_point.tobytes()
         assert err.value.achieved == ref.value.achieved
         assert f.counters["grad"] == f.counters["g_prox"] == 3
@@ -278,9 +325,9 @@ class TestProximalPoint:
         # next row records: only x0 is evaluated on its own
         centers = []
 
-        def recording_prox_map(f, nu, z, inner_tol):
+        def recording_prox_map(f, nu, z, inner_tol, _start=None):
             centers.append(np.array(z))
-            return prox_map(f, nu, z, inner_tol=inner_tol)
+            return prox_map(f, nu, z, inner_tol=inner_tol, _start=_start)
 
         monkeypatch.setattr(moreau, "prox_map", recording_prox_map)
         f = make_lasso(d=10, m=25, lam=0.1, seed=3).problem
@@ -297,10 +344,10 @@ class TestProximalPoint:
         # and still be stationary when re-solved to 1e-12
         tols, certs, centers = [], [], []
 
-        def recording_prox_map(f, nu, z, inner_tol):
+        def recording_prox_map(f, nu, z, inner_tol, _start=None):
             centers.append(np.array(z))
             tols.append(inner_tol)
-            mp = prox_map(f, nu, z, inner_tol=inner_tol)
+            mp = prox_map(f, nu, z, inner_tol=inner_tol, _start=_start)
             certs.append(mp.certificate)
             return mp
 
@@ -318,6 +365,45 @@ class TestProximalPoint:
                        for s, c in zip(stats[:-1], certs[:-1]))
         mp = prox_map(f, nu, centers[-1], inner_tol=1e-12)
         assert np.linalg.norm(mp.envelope_gradient) < step_tol
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fista_starts_where_the_iteration_is_heading(self, seed, monkeypatch):
+        # prox map 0 begins at its center, prox map t + 1 at
+        # x_t + (x_t - x_{t-1}), with x_t its own center; against every
+        # prox map begun at its center that saves at least 30% of the FISTA
+        # gradients, and both runs stop certified below step_tol
+        step_tol = 1e-8
+
+        def run():
+            centers, starts, certs = [], [], []
+
+            def recording_prox_map(f, nu, z, inner_tol, _start=None):
+                centers.append(np.array(z))
+                starts.append(None if _start is None else np.array(_start))
+                mp = prox_map(f, nu, z, inner_tol=inner_tol, _start=_start)
+                certs.append(mp.certificate)
+                return mp
+
+            monkeypatch.setattr(moreau, "prox_map", recording_prox_map)
+            f = make_lasso(d=50, m=100, lam=0.1, seed=seed).problem
+            rep = proximal_point_run(f, 1.0 / (2.0 * f.beta), np.zeros(50),
+                                     max_iters=2000, step_tol=step_tol)
+            assert len(rep.iteration_index) < 2000
+            assert rep.stationarity_history[-1] < step_tol
+            assert certs[-1] <= 0.01 * step_tol
+            return rep.oracle_calls["grad"], centers, starts
+
+        warm, centers, starts = run()
+        assert starts[0] is None
+        for t in range(1, len(starts)):
+            x, x_prev = centers[t], centers[t - 1]
+            assert starts[t].tobytes() == (x + (x - x_prev)).tobytes()
+        fista = moreau._fista_prox
+        monkeypatch.setattr(
+            moreau, "_fista_prox",
+            lambda f, nu, z, tol, budget, start=None: fista(f, nu, z, tol, budget))
+        cold, _, _ = run()
+        assert warm <= 0.7 * cold
 
     def test_composite_prox_maps_ask_only_the_gap_the_stop_needs(self):
         # the prox-linear runs inside the prox maps floor their gap schedule

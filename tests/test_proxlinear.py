@@ -349,6 +349,16 @@ class TestProxlinearRun:
         assert list(rep.evals_history) == [3 * t + 2 for t in range(20)]
         assert rep.oracle_calls == {"value": 20, "grad": 20, "g_prox": 20}
 
+    def test_non_finite_lasso_data_fails_at_once(self):
+        # a NaN in lasso's A makes the first gradient step NaN; the run
+        # must fail there, not return a report of NaN rows as if solved
+        inst = make_lasso(d=50, m=100, lam=0.1, seed=4)
+        inst.arrays["A"][3, 2] = np.nan
+        prob = inst.problem
+        with pytest.raises(OracleFailure, match="step norm nan is not finite"):
+            proxlinear_run(prob, np.ones(50), outer_iters=50)
+        assert prob.counters == {"value": 0, "grad": 1, "g_prox": 1}
+
 
 def _criterion_4_start(seed=0):
     inst = make_phase_retrieval(d=20, m=160, outlier_frac=0.0, seed=seed)
