@@ -1,26 +1,24 @@
 """Proximally guided stochastic subgradient method for stochastic
 weakly convex minimization of a linear model, F(x) = E_i phi_i(a_i . x).
 
-Outer step t holds the proximal center x_t fixed and runs j_t - 1
-stochastic subgradient steps on the regularized model
-f(., i) + rho ||. - x_t||^2, warm-started at y_0 = x_t; the next center is
-the running average of the inner iterates.  The loop steps the offset
-w = y - x_t: with A x_t computed once per outer step, a step draws i,
-takes s = phi_i'(a_i . x_t + a_i . w) and sets
-w <- (1 - 2 rho alpha_j) w - (alpha_j s) a_i.  That is the textbook step
-y <- y - alpha_j (s a_i + 2 rho (y - x_t)) in exact arithmetic, rounded
-differently, so the two agree only to the last few digits.  The next
-center is x_t + (sum of the w) / j_t.
+Outer step t runs n = j_t - 1 stochastic subgradient steps on
+f(., i) + rho ||. - x_t||^2 from y_0 = x_t; the next center is the average
+of y_0 .. y_n.  Step j draws i, takes s_j = phi_i'(a_i . y_j) and sets
+w_{j+1} = c_j w_j - (alpha_j s_j) a_i, c_j = 1 - 2 rho alpha_j, for the
+offset w = y - x_t.  The loop holds w_j = P_j u, P_j = c_0 ... c_{j-1}
+folded into u below 1e-100: a step is t = (A x_t)_i + P_j (a_i . u),
+u <- u - (alpha_j s_j / P_{j+1}) a_i, with P and these gains computed once
+per run.  After the loop, w_1 + ... + w_n = -sum_j alpha_j s_j R_j a_{i_j},
+R_j = 1 + c_{j+1} + c_{j+1} c_{j+2} + ... (n - j terms).  This is the
+textbook y <- y - alpha_j (s_j a_i + 2 rho (y - x_t)), rounded differently.
 
-Every step direction v = 2 rho w + s a_i must be finite.  The inner loop
-does not test each v; it adds up the w and tests that sum once per outer
-step (a NaN or inf in any v leaves it non-finite).  When the sum is not
-finite, or the oracle raises mid-step, the outer step is replayed from
-x_t on the same draws with a test on every v, which finds the first
-failing inner step j and raises OracleFailure for (t, j) as a per-step
-test would.  A replay that finds no bad v means the sum itself overflowed
-(the run goes on, and NumPy warns of the overflow) or the exception came
-first (it is re-raised).
+Every step direction v = 2 rho w + s a_i must be finite.  The loop tests
+only the sum of the offsets, once per outer step (a NaN or inf in an s or
+a drawn row leaves it non-finite: NaN times 0 is NaN).  If it is not
+finite, or the oracle raises, the outer step is replayed on the same draws
+with every v tested, to raise OracleFailure for the first failing inner
+step j.  A replay that finds no bad v means the sum overflowed (the run
+goes on, and NumPy warns) or the exception came first (it is re-raised).
 """
 
 from __future__ import annotations
@@ -100,40 +98,37 @@ class _NonFiniteStep(OracleFailure):
     """A replayed inner step produced a non-finite v."""
 
 
-def _inner_loop(subgrad, two_rho, alphas, A, x, draws, t, counters, check):
-    """The inner steps of outer step t from center x, one per draw.
-
-    Returns the sum of the offsets w_1 .. w_n from x (w_0 = 0).  With
-    ``check``, raises _NonFiniteStep at the first non-finite
-    v = (2 rho) w + s a_i; the test reads w and leaves its steps as they
-    are, so a replay repeats the unchecked loop's iterates.  One
-    subgradient per step begun is added to ``counters`` on any exit.
-    """
+def _inner_loop(subgrad, two_rho, P, gain, folds, A, x, draws, t, counters,
+                check):
+    """Outer step t's inner steps from center x, one per draw, on the
+    offset w_j = P[j] u; returns the list of the s_j.  With ``check``,
+    raises _NonFiniteStep at the first non-finite v = (2 rho) w + s a_i,
+    reading u without changing a step, so a replay repeats the unchecked
+    loop's iterates.  Adds one subgradient per step begun to ``counters``
+    on any exit."""
     rows = list(A)
     Ax = (A @ x).tolist()
-    w = np.zeros_like(x)
-    wsum = np.zeros_like(x)
-    j = -1
+    u = np.zeros_like(x)
+    ss, j = [], -1
     try:
         for j, i in enumerate(draws):
             a = rows[i]
-            s = subgrad(Ax[i] + float(a.dot(w)), i)
-            if check and not np.all(np.isfinite(two_rho * w + s * a)):
+            s = subgrad(Ax[i] + P[j] * float(a.dot(u)), i)
+            if check and not np.all(np.isfinite(two_rho * P[j] * u + s * a)):
                 raise _NonFiniteStep(
                     "non-finite subgradient at outer %d, inner %d" % (t, j))
-            alpha = alphas[j]
-            w *= 1.0 - two_rho * alpha
-            w -= (alpha * s) * a
-            wsum += w
+            ss.append(s)
+            if j in folds:
+                u *= folds[j]
+            u -= (gain[j] * s) * a
     finally:
         counters["stoch_subgrad"] += j + 1
-    return wsum
+    return ss
 
 
 def _replay(args):
-    """Rerun an outer step with every v checked; raises _NonFiniteStep
-    if one is not finite and returns quietly otherwise, also when the
-    replay stops on another exception."""
+    """Rerun an outer step with every v checked: raises _NonFiniteStep if
+    one is not finite, else returns, also when another exception stops it."""
     try:
         _inner_loop(*args, check=True)
     except _NonFiniteStep:
@@ -157,17 +152,25 @@ def pgsg_run(
     at parameter 1/(2 rho) when a deterministic oracle is attached, else
     the proximal step-size proxy 2 rho ||x_{t+1} - x_t||.
     """
+    for name, value in (("outer_iters", outer_iters), ("stat_every", stat_every)):
+        if value < 1:
+            raise ValueError("%s must be >= 1, got %r" % (name, value))
     x = np.asarray(x0, dtype=float).copy()
-    rho = problem.rho
+    two_rho = 2.0 * problem.rho
     report = SolverReport()
 
     max_jt = schedule.inner_counts(outer_iters - 1)
     alphas = np.array([schedule.inner_steps(j) for j in range(max_jt)])
     if np.any(np.diff(alphas) >= 0) or np.any(alphas <= 0):
         raise ValueError("inner step sizes must be positive and strictly decreasing")
-    alphas = alphas.tolist()
-    subgrad = problem.stoch_subgrad
-    two_rho = 2.0 * rho
+    # the scale of w_j = P_j u, folded into u below 1e-100 as svrg_run folds
+    P, folds = [1.0], {}
+    for j, c in enumerate((1.0 - two_rho * alphas).tolist()):
+        P.append(P[j] * c)
+        if abs(P[-1]) < 1e-100:
+            folds[j], P[-1] = P[-1], 1.0
+    P_arr = np.array(P)
+    gain = (alphas / P_arr[1:]).tolist()
 
     counters = problem.counters
     start = dict(counters)
@@ -177,31 +180,38 @@ def pgsg_run(
         if problem.envelope_oracle is not None:
             from .moreau import prox_map
 
-            nu = 1.0 / (2.0 * rho)
-            mp = prox_map(problem.envelope_oracle, nu, xt,
+            mp = prox_map(problem.envelope_oracle, 1.0 / two_rho, xt,
                           inner_tol=_ENVELOPE_INNER_TOL)
             return float(np.linalg.norm(mp.envelope_gradient))
-        return 2.0 * rho * float(np.linalg.norm(xt - xprev))
-
-    def objective(xt):
-        return problem.full_value(xt) if problem.full_value is not None else np.nan
+        return two_rho * float(np.linalg.norm(xt - xprev))
 
     for t in range(outer_iters):
         j_t = int(schedule.inner_counts(t))
         if j_t < 1:
             raise ValueError("inner count must be >= 1")
         draws = problem.presample(rng, max(j_t - 1, 0)).tolist()
-        args = (subgrad, two_rho, alphas, problem.A, x, draws, t, counters)
+        args = (problem.stoch_subgrad, two_rho, P, gain, folds, problem.A, x,
+                draws, t, counters)
         try:
-            wsum = _inner_loop(*args, check=False)
+            ss = _inner_loop(*args, check=False)
         except Exception:
             _replay(args)
             raise
+        # R_j = Q_{j+1}, Q_e = (P_e + ... + P_n) / P_e by suffix sums (never a
+        # difference of prefix sums), span by span back from n between folds
+        n = len(ss)
+        Q, carry, hi = np.empty(n + 1), 0.0, n + 1
+        for lo in sorted({0} | {q + 1 for q in folds if q < n}, reverse=True):
+            span = P_arr[lo:hi]
+            Q[lo:hi] = (np.cumsum(span[::-1])[::-1] + carry) / span
+            carry, hi = folds.get(lo - 1, 0.0) * Q[lo], lo
+        wsum = -((alphas[:n] * Q[1:] * ss) @ problem.A[draws])
         if not np.all(np.isfinite(wsum)):
             _replay(args)
         x_new = x + wsum / j_t
         if (t + 1) % stat_every == 0 or t == 0 or t == outer_iters - 1:
-            report.record(t + 1, objective(x_new), stationarity(x_new, x),
+            f = np.nan if problem.full_value is None else problem.full_value(x_new)
+            report.record(t + 1, f, stationarity(x_new, x),
                           calls_since(counters, start)["stoch_subgrad"])
         x = x_new
         visited.append(x.copy())

@@ -14,7 +14,7 @@ from proxkit import (
     pgsg_run,
 )
 from proxkit.moreau import prox_map
-from proxkit.pgsg import _INNER_OFFSET, StochasticProblem
+from proxkit.pgsg import _INNER_OFFSET, PgsgSchedule, StochasticProblem
 
 
 class TestSchedule:
@@ -129,14 +129,18 @@ class TestPgsgRun:
         assert rep.iteration_index[0] == 1  # first outer step is recorded
 
     def test_bit_identical_to_textbook_loop(self):
-        # [ORACLE] two outer steps of robust phase retrieval against the
-        # plain offset-form loop: NumPy-scalar derivative
-        # s = 2 t sign(t^2 - b_i^2) at t = (A x)_i + a_i . w, a finiteness
-        # test on every v = (2 rho) w + s a_i, and
-        # w = (1 - (2 rho) alpha) w - (alpha s) a_i.  Equal bits, not
-        # allclose.  The y-form loop y = y - alpha (s a_i + (2 rho)(y - x))
-        # is the same iterate rounded differently: its centers must agree
-        # to 1e-13, some 200 ulps at entries of size about 2.
+        # [ORACLE] two outer steps of robust phase retrieval against an
+        # independent copy of the scaled offset loop: w_j = P_j u with
+        # P_j = c_0 ... c_{j-1}, c = 1 - (2 rho) alpha, a NumPy-scalar
+        # derivative s = 2 t sign(t^2 - b_i^2) at t = (A x)_i + P_j (a_i . u),
+        # a finiteness test on every v = (2 rho P_j) u + s a_i, the step
+        # u = u - ((alpha / P_{j+1}) s) a_i, and after the loop the sum of
+        # the offsets -sum_j (alpha_j R_j s_j) a_{i_j} with
+        # R_j = (P_{j+1} + ... + P_n) / P_{j+1} summed from the back.  Equal
+        # bits, not allclose.  The y-form loop
+        # y = y - alpha (s a_i + (2 rho)(y - x)) is the same iterate rounded
+        # differently: its centers must agree to 1e-13, some 200 ulps at
+        # entries of size about 2.
         inst = make_phase_retrieval(d=10, m=80, outlier_frac=0.1, seed=3)
         sp = inst.stochastic
         sched = default_schedule(sp.rho)
@@ -147,41 +151,52 @@ class TestPgsgRun:
         A, b = inst.arrays["A"], inst.arrays["b"]
         b2 = b * b
         rho = sp.rho
+        P = [1.0]  # the default schedule keeps P above 1e-8: it never folds
+        for j in range(sched.inner_counts(1)):
+            P.append(P[j] * (1.0 - (2.0 * rho) * sched.inner_steps(j)))
 
         def deriv(t, i):
             return 2.0 * t * np.sign(t * t - b2[i])
 
-        def centers(offset_form):
+        def centers(scaled_form):
             rng = RandomStream(3, stream_id=200)
             x = x0.copy()
             visited = [x.copy()]
             for t in range(2):
                 j_t = sched.inner_counts(t)
-                draws = rng.integers(0, 80, size=j_t - 1)
+                n = j_t - 1
+                draws = rng.integers(0, 80, size=n)
                 Ax = A @ x
-                w, wsum = np.zeros(10), np.zeros(10)
+                u, ss = np.zeros(10), []
                 y, acc = x.copy(), x.copy()
-                for j in range(j_t - 1):
+                for j in range(n):
                     i, alpha = draws[j], sched.inner_steps(j)
                     a = A[i]
-                    if offset_form:
-                        s = deriv(Ax[i] + a @ w, i)
-                        v = (2.0 * rho) * w + s * a
+                    if scaled_form:
+                        s = deriv(Ax[i] + P[j] * (a @ u), i)
+                        v = (2.0 * rho * P[j]) * u + s * a
                     else:
                         v = deriv(a @ y, i) * a + (2.0 * rho) * (y - x)
                     if not np.all(np.isfinite(v)):
                         raise OracleFailure("outer %d, inner %d" % (t, j))
-                    if offset_form:
-                        w = (1.0 - (2.0 * rho) * alpha) * w - (alpha * s) * a
-                        wsum += w
+                    if scaled_form:
+                        u = u - ((alpha / P[j + 1]) * s) * a
+                        ss.append(s)
                     else:
                         y = y - alpha * v
                         acc += y
-                x = x + wsum / j_t if offset_form else acc / j_t
+                if scaled_form:
+                    weights, tail = [0.0] * n, 0.0
+                    for j in range(n - 1, -1, -1):
+                        tail += P[j + 1]
+                        weights[j] = sched.inner_steps(j) * (tail / P[j + 1]) * ss[j]
+                    x = x + -(np.array(weights) @ A[draws]) / j_t
+                else:
+                    x = acc / j_t
                 visited.append(x.copy())
             return visited, int(rng.integers(1, 3))
 
-        visited, pick = centers(offset_form=True)
+        visited, pick = centers(scaled_form=True)
         objectives = [inst.problem.value(x) for x in visited[1:]]
         stats = [float(np.linalg.norm(prox_map(
             inst.problem, 1.0 / (2.0 * rho), x, inner_tol=1e-8).envelope_gradient))
@@ -190,8 +205,78 @@ class TestPgsgRun:
         assert np.array_equal(rep.solution, visited[pick])
         assert np.array_equal(rep.objective_history, objectives)
         assert np.array_equal(rep.stationarity_history, stats)
-        textbook, _ = centers(offset_form=False)
+        textbook, _ = centers(scaled_form=False)
         assert np.max(np.abs(np.array(textbook) - np.array(visited))) <= 1e-13
+
+    def test_rejects_bad_counts_before_any_work(self):
+        prob = tiny_quadratic_problem()
+        for kwargs, name in (({"outer_iters": 0}, "outer_iters"),
+                             ({"outer_iters": 1, "stat_every": 0}, "stat_every")):
+            with pytest.raises(ValueError, match=name):
+                pgsg_run(prob, np.zeros(3), schedule=default_schedule(prob.rho),
+                         rng=RandomStream(15, stream_id=9), **kwargs)
+        assert prob.counters["stoch_subgrad"] == 0
+
+
+def offset_form_solution(prob, sched, x0, outer_iters, rng):
+    """The plain offset-form loop, w = (1 - 2 rho alpha) w - (alpha s) a_i
+    with the sum of the w, and the iterate pgsg_run would pick."""
+    A = prob.A
+    x = x0.copy()
+    visited = [x.copy()]
+    for t in range(outer_iters):
+        j_t = sched.inner_counts(t)
+        w, wsum = np.zeros_like(x), np.zeros_like(x)
+        for j, i in enumerate(prob.presample(rng, j_t - 1)):
+            alpha = sched.inner_steps(j)
+            s = prob.stoch_subgrad(float(A[i] @ x + A[i] @ w), i)
+            w = (1.0 - 2.0 * prob.rho * alpha) * w - (alpha * s) * A[i]
+            wsum += w
+        x = x + wsum / j_t
+        visited.append(x.copy())
+    return visited[int(rng.integers(1, outer_iters + 1))]
+
+
+class TestFoldingSchedules:
+    """Custom schedules on which the scale P_j = c_0 ... c_{j-1},
+    c_j = 1 - 2 rho alpha_j, reaches 0, underflows or turns negative: the
+    run must fold P into its vector and match the plain offset loop."""
+
+    RHO = 8.0  # 2 rho = 16, so alpha = k / 16 gives c = 1 - k exactly
+
+    def check(self, sched, outer_iters=2):
+        prob = tiny_quadratic_problem(rho=self.RHO)
+        x0 = np.array([2.0, -1.0, 0.5])
+        rep = pgsg_run(prob, x0, outer_iters=outer_iters, schedule=sched,
+                       rng=RandomStream(16, stream_id=10))
+        expect = offset_form_solution(prob, sched, x0, outer_iters,
+                                      RandomStream(16, stream_id=10))
+        assert np.all(np.isfinite(rep.solution))
+        assert np.max(np.abs(rep.solution - expect)) <= 1e-12
+
+    def cs(self, sched, n):
+        return [1.0 - 2.0 * self.RHO * sched.inner_steps(j) for j in range(n)]
+
+    def test_alpha_0_of_one_over_two_rho_makes_p_zero(self):
+        sched = PgsgSchedule(inner_counts=lambda t: 300 + t,
+                             inner_steps=lambda j: 1.0 / (16.0 * (j + 1.0)))
+        assert self.cs(sched, 1) == [0.0]
+        self.check(sched)
+
+    def test_p_underflows_within_one_outer_step(self):
+        # c_j = 0.1 + 1e-5 j: the product falls below 1e-100 every ~100 steps
+        sched = PgsgSchedule(inner_counts=lambda t: 400 + t,
+                             inner_steps=lambda j: (0.9 - 1e-5 * j) / 16.0)
+        assert math.prod(self.cs(sched, 400)) < 1e-300
+        self.check(sched)
+
+    def test_negative_c_through_zero(self):
+        # c_j = -1/4 + j/64: negative first, exactly 0 at j = 16, then positive
+        sched = PgsgSchedule(inner_counts=lambda t: 60 + t,
+                             inner_steps=lambda j: (1.25 - j / 64.0) / 16.0)
+        cs = self.cs(sched, 61)
+        assert cs[0] < 0 and cs[16] == 0.0
+        self.check(sched)
 
 
 def step_indexed_problem(subgrad, dim=3):
@@ -274,6 +359,16 @@ class TestFiniteness:
         # the step and its replay each reach the raising call
         assert len(calls) == 2 * 8
         assert prob.counters["stoch_subgrad"] == len(calls)
+
+    def test_non_finite_row_never_drawn_is_not_read(self):
+        # the first outer step draws rows 0 .. n - 1 of n + 1, so a NaN in
+        # the last row must leave it as it is with that row finite
+        solutions = []
+        for last in (1.0, math.nan):
+            prob = step_indexed_problem(lambda t, j: t)
+            prob.A[-1] = last
+            solutions.append(run_one_step(prob).solution)
+        assert np.array_equal(solutions[0], solutions[1])
 
     @pytest.mark.parametrize("finite_derivative", [False, True])
     def test_non_finite_row_names_the_first_step_that_draws_it(
