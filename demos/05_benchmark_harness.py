@@ -2,10 +2,11 @@
 
 An experiment is described by a flat key-value config: one problem, one
 solver (optionally a baseline arm), a seed list, and run options.  The
-harness fans the seeds out, writes one CSV trace per (arm, seed), a
-quartile summary across seeds, and a MANIFEST; output bytes are
-independent of the number of worker jobs.  The same machinery backs the
-``proxkit run`` command-line entry point.
+harness runs each (arm, seed) pair in turn, writes one CSV trace per
+pair, a quartile summary across seeds, and a MANIFEST; reruns reproduce
+every byte.  The same machinery backs the ``proxkit run`` command-line
+entry point, whose ``--jobs`` option is accepted for compatibility and
+does not change how the runs go.
 """
 
 import os
@@ -33,7 +34,7 @@ print("\nconfig sha256:", cfg.sha256[:16], "...")
 
 tmp = tempfile.mkdtemp()
 out = os.path.join(tmp, "lasso-bench")
-result = run_experiment(cfg, out, jobs=2)
+result = run_experiment(cfg, out)
 print("bundle written to", os.path.relpath(out, tmp))
 print("files:", sorted(os.listdir(out)))
 

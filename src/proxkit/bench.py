@@ -26,7 +26,6 @@ total wall time; timing is never used in any decision.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import inspect
 import math
@@ -89,7 +88,7 @@ def _run_proxlinear(instance, p, seed):
 def _run_proximal_point(instance, p, seed):
     _need(instance, "proximal_point", CompositeProblem, SmoothPlusProx)
     prob = instance.problem
-    p = dict(p)  # shared across seeds and threads
+    p = dict(p)  # the caller's dict serves every seed
     nu = p.pop("nu")
     if nu is None:
         # 1/(2 L beta): below 1/rho for a composite, whose rho is L beta,
@@ -114,7 +113,7 @@ def _finite_sum_runner(inner_name):
     def run(instance, p, seed):
         _need(instance, inner_name, FiniteSumProblem)
         prob = instance.problem
-        p = dict(p)  # shared across seeds and threads
+        p = dict(p)  # the caller's dict serves every seed
         kappa = p.pop("kappa", 0.0)
         if kappa is None:
             kappa = choose_kappa(prob, inner_name)
@@ -416,8 +415,9 @@ def _failure(fname, arm, sname, seed, exc) -> dict:
     return fail
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
-    """Run every (arm, seed) combination and write the CSV bundle.
+def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
+    """Run every (arm, seed) combination, one at a time, and write the
+    CSV bundle.
 
     Returns a manifest dict with the written files and any failures;
     partial outputs are retained when some runs fail.
@@ -431,21 +431,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> dic
     os.makedirs(out_dir, exist_ok=True)
     seeds = [s + offset for s in config.seeds]
 
-    tasks = [(arm, sname, params, seed)
-             for arm, sname, params in config.arms for seed in seeds]
-
-    def attempt(task):
-        try:
-            return _run_one(config, *task)
-        except Exception as exc:  # a crashing task is recorded, not fatal
-            return exc
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = iter(list(pool.map(attempt, tasks)))
-    else:
-        results = iter([attempt(t) for t in tasks])
-
     # one CSV per task and one quartile block per arm; for two arms, a
     # ratio row of the median evals to reach target_gap
     files: list[str] = []
@@ -453,15 +438,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> dic
     summary_lines = ["# proxkit=%s,config_sha256=%s" % (_VERSION, config.sha256),
                      "arm," + _SUMMARY_COLUMNS]
     medians = {}
-    for arm, sname, _ in config.arms:
+    for arm, sname, params in config.arms:
         reports, to_target = [], []
         for seed in seeds:
-            result = next(results)
             fname = "%s_seed%d.csv" % (arm, seed)
-            if isinstance(result, Exception):
-                failures.append(_failure(fname, arm, sname, seed, result))
+            try:
+                report, optimum_value, wall_ns = _run_one(config, arm, sname,
+                                                          params, seed)
+            except Exception as exc:  # a crashing task is recorded, not fatal
+                failures.append(_failure(fname, arm, sname, seed, exc))
                 continue
-            report, optimum_value, wall_ns = result
             with open(os.path.join(out_dir, fname), "w", newline="\n") as fh:
                 fh.write(_run_csv_text(config, report, seed, wall_ns))
             files.append(fname)

@@ -1,5 +1,9 @@
 """Command-line entry point: ``proxkit run <config> [--out DIR] [--jobs N]``.
 
+The runs of a config go one at a time, in (arm, seed) order.  ``--jobs``
+is accepted for compatibility with older command lines: it must be at
+least 1 and does not change how the runs go or what they write.
+
 Exit codes: 0 success, 2 invalid or unreadable config, invalid
 PROXKIT_SEED_OFFSET or unwritable --out, 3 a run raised, whatever the
 exception (partial outputs retained, failures listed in the MANIFEST).
@@ -20,7 +24,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment config")
     run.add_argument("config", nargs="?", help="path to a flat key-value config file")
     run.add_argument("--out", default="proxkit-out", help="output directory")
-    run.add_argument("--jobs", type=int, default=1, help="worker pool size for seeds")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="accepted for compatibility (N >= 1); runs go one "
+                          "at a time whatever N is")
     run.add_argument("--list-problems", action="store_true",
                      help="list problem generators and exit")
     run.add_argument("--list-solvers", action="store_true",
@@ -55,7 +61,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        manifest = run_experiment(config, args.out, jobs=args.jobs)
+        manifest = run_experiment(config, args.out)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

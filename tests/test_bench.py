@@ -313,13 +313,16 @@ class TestRunExperiment:
         assert outs[0] == outs[1]
 
     def test_jobs_do_not_change_output(self, tmp_path):
-        cfg = parse_config_text(LASSO_CFG)
-        serial, parallel = str(tmp_path / "s"), str(tmp_path / "p")
-        run_experiment(cfg, serial, jobs=1)
-        run_experiment(cfg, parallel, jobs=4)
-        for f in os.listdir(serial):
-            assert (open(os.path.join(serial, f), "rb").read()
-                    == open(os.path.join(parallel, f), "rb").read())
+        # --jobs is accepted for compatibility and changes nothing
+        p = tmp_path / "lasso.cfg"
+        p.write_text(LASSO_CFG)
+        bundles = []
+        for jobs in ("1", "4"):
+            out = tmp_path / ("jobs" + jobs)
+            assert cli_main(["run", str(p), "--out", str(out), "--jobs", jobs]) == 0
+            bundles.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert bundles[0] == bundles[1]
+        assert len(bundles[0]) == 4
 
     def test_seed_offset_env(self, tmp_path, monkeypatch):
         cfg = parse_config_text(LASSO_CFG)
@@ -507,6 +510,14 @@ class TestCli:
         assert sum(ln.startswith("failed ") for ln in manifest) == 2
         assert (out / "summary.csv").exists()
         assert "Traceback" in capsys.readouterr().err
+
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "lasso.cfg"
+        p.write_text(LASSO_CFG)
+        out = tmp_path / "o"
+        assert cli_main(["run", str(p), "--out", str(out), "--jobs", "0"]) == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, capsys):
         assert cli_main(["run", "/nonexistent/x.cfg"]) == 2

@@ -11,7 +11,8 @@ script imports proxkit from ``TREE/src`` and prints one line per output:
 * ``criterion9/IDX/FILE SHA``: every file of the bundle of each config
   in ``tests/test_acceptance.DETERMINISM_CONFIGS``;
 * ``fanout/jobsN/FILE SHA``: every file of the bundle of perfbench's
-  ``_CLI_CONFIG`` over seeds 0..31, written with ``jobs`` 1 and 2;
+  ``_CLI_CONFIG`` over seeds 0..31, written by ``proxkit run --jobs N``
+  for N = 1 and 2;
 * ``catalyst_ridge/ARM/seedS SHA``: the solution and the four histories
   of each of the four solves of perfbench's ``CatalystRidge`` workload,
   the only accelerated SVRG runs here;
@@ -94,6 +95,7 @@ def _seed_lines(workloads, workload, scratch, fields):
 
 def bundle_lines(tree, scratch):
     import proxkit
+    from proxkit import cli
 
     acceptance = _load("_digest_acceptance",
                        os.path.join(tree, "tests", "test_acceptance.py"))
@@ -104,12 +106,15 @@ def bundle_lines(tree, scratch):
         out = os.path.join(scratch, "criterion9-%d" % idx)
         proxkit.run_experiment(proxkit.parse_config_text(text), out)
         lines += _bundle_lines("criterion9/%d" % idx, out)
-    fanout = proxkit.parse_config_text(
-        workloads._CLI_CONFIG % ", ".join(str(s) for s in FANOUT_SEEDS))
-    for jobs in (1, 2):
-        out = os.path.join(scratch, "fanout-jobs%d" % jobs)
-        proxkit.run_experiment(fanout, out, jobs=jobs)
-        lines += _bundle_lines("fanout/jobs%d" % jobs, out)
+    fanout = os.path.join(scratch, "fanout.cfg")
+    with open(fanout, "w") as fh:
+        fh.write(workloads._CLI_CONFIG % ", ".join(str(s) for s in FANOUT_SEEDS))
+    for jobs in ("1", "2"):
+        out = os.path.join(scratch, "fanout-jobs" + jobs)
+        code = cli.main(["run", fanout, "--out", out, "--jobs", jobs])
+        if code != 0:
+            raise RuntimeError("proxkit run --jobs %s exited %d" % (jobs, code))
+        lines += _bundle_lines("fanout/jobs" + jobs, out)
     workload = workloads.CatalystRidge()
     tasks = workload.build(0, scratch)
     for (s, arm, _, _), rep in sorted(zip(tasks, workload.run(tasks)),
