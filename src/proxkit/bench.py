@@ -14,8 +14,10 @@ A problem's keys are the parameters of its generator; a solver's keys are
 the keyword parameters of the library function it calls, with the same
 defaults.  An optional ``baseline.*`` section adds a second arm; two-arm
 runs get a ``ratio`` row in the summary comparing gradient evaluations to
-reach ``run.target_gap``.  Every section is checked at parse time: an
-unknown key or an out-of-range value is a line-anchored ConfigError.
+reach ``run.target_gap`` when every seed of both arms reaches it, and a
+MANIFEST line counting the seeds that did when some do not.  Every
+section is checked at parse time: an unknown key or an out-of-range value
+is a line-anchored ConfigError.
 
 Every run is fully determined by the config content (plus the
 PROXKIT_SEED_OFFSET environment variable): identical configs produce
@@ -26,6 +28,7 @@ total wall time; timing is never used in any decision.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import inspect
 import math
@@ -340,6 +343,21 @@ def _padded_columns(reports, attr):
     return np.array([h + [h[-1]] * (n - len(h)) for h in hists], dtype=float)
 
 
+def _quartiles(cols):
+    """Median, p25 and p75 down each column, as a (3, n_iters) array.
+    np.percentile interpolates as lo + (hi - lo) t, which is nan when a
+    neighbour is infinite; such a quartile is the value of that formula
+    in the extended reals: lo when lo == hi, else lo + hi (the infinite
+    neighbour, or nan between -inf and +inf)."""
+    with np.errstate(invalid="ignore"):
+        q = np.percentile(cols, [50, 25, 75], axis=0)
+        if np.isnan(q).any():
+            lo, hi = (np.percentile(cols, [50, 25, 75], axis=0, method=m)
+                      for m in ("lower", "higher"))
+            q = np.where(np.isnan(q), np.where(lo == hi, lo, lo + hi), q)
+    return q
+
+
 def emit_summary(reports) -> str:
     """Per-iteration median and quartiles of objective and stationarity
     across a list of SolverReports, as CSV text."""
@@ -350,8 +368,7 @@ def emit_summary(reports) -> str:
     longest = max(reports, key=lambda r: len(r.iteration_index))
     iters = list(longest.iteration_index)
 
-    q = np.concatenate([np.percentile(obj, [50, 25, 75], axis=0),
-                        np.percentile(stat, [50, 25, 75], axis=0)]).T
+    q = np.concatenate([_quartiles(obj), _quartiles(stat)]).T
     lines = [_SUMMARY_COLUMNS]
     for k in range(obj.shape[1]):
         lines.append(",".join([str(iters[k])] + [_fmt(v) for v in q[k]]))
@@ -420,7 +437,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     CSV bundle.
 
     Returns a manifest dict with the written files and any failures;
-    partial outputs are retained when some runs fail.
+    partial outputs are retained when some runs fail, and a failed run's
+    CSV left in ``out_dir`` by an earlier run is removed.
     """
     raw_offset = os.environ.get("PROXKIT_SEED_OFFSET", "0")
     try:
@@ -437,36 +455,46 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     failures: list[dict] = []
     summary_lines = ["# proxkit=%s,config_sha256=%s" % (_VERSION, config.sha256),
                      "arm," + _SUMMARY_COLUMNS]
-    medians = {}
+    to_target = {}
     for arm, sname, params in config.arms:
-        reports, to_target = [], []
+        reports, to_target[arm] = [], []
         for seed in seeds:
             fname = "%s_seed%d.csv" % (arm, seed)
+            path = os.path.join(out_dir, fname)
             try:
                 report, optimum_value, wall_ns = _run_one(config, arm, sname,
                                                           params, seed)
             except Exception as exc:  # a crashing task is recorded, not fatal
                 failures.append(_failure(fname, arm, sname, seed, exc))
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
                 continue
-            with open(os.path.join(out_dir, fname), "w", newline="\n") as fh:
+            with open(path, "w", newline="\n") as fh:
                 fh.write(_run_csv_text(config, report, seed, wall_ns))
             files.append(fname)
             reports.append(report)
             if config.target_gap is not None:
                 ev = _evals_to_target(report, optimum_value, config.target_gap)
                 if ev is not None:
-                    to_target.append(ev)
+                    to_target[arm].append(ev)
         if reports:
             body = emit_summary(reports).splitlines()[1:]  # drop inner header
             summary_lines.extend("%s,%s" % (arm, row) for row in body)
-        medians[arm] = float(np.median(to_target)) if to_target else None
 
-    if medians.get("solver") and medians.get("baseline"):
-        summary_lines.append(",".join([
-            "ratio", "baseline_over_solver",
-            _fmt(medians["baseline"] / medians["solver"]),
-            _fmt(medians["solver"]), _fmt(medians["baseline"]), "", "", "",
-        ]))
+    # a median over the seeds that got there would hide the ones that did
+    # not, so the ratio needs every seed of both arms at the target
+    notes = []
+    if len(config.arms) == 2 and config.target_gap is not None:
+        if all(len(evs) == len(seeds) for evs in to_target.values()):
+            solver, baseline = (np.median(to_target[a]) for a in ("solver", "baseline"))
+            summary_lines.append(",".join([
+                "ratio", "baseline_over_solver", _fmt(baseline / solver),
+                _fmt(solver), _fmt(baseline), "", "", "",
+            ]))
+        else:
+            notes.append("no ratio: target_gap reached by %s" % ", ".join(
+                "%s %d/%d seeds" % (arm, len(evs), len(seeds))
+                for arm, evs in to_target.items()))
 
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="\n") as fh:
         fh.write("\n".join(summary_lines) + "\n")
@@ -477,6 +505,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
         manifest_lines.append("ok %s" % f)
     for fail in failures:
         manifest_lines.append("failed %s: %s" % (fail["file"], fail["error"]))
+    manifest_lines += notes
     with open(os.path.join(out_dir, "MANIFEST"), "w", newline="\n") as fh:
         fh.write("\n".join(manifest_lines) + "\n")
 

@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -254,6 +255,27 @@ class TestEmitSummary:
         with pytest.raises(EmptyInput):
             emit_summary([])
 
+    @pytest.mark.parametrize("values,quartiles", [
+        ((1.0, 2.0, np.inf), (2.0, 1.5, np.inf)),
+        ((np.inf, np.inf, np.inf, np.inf), (np.inf,) * 3),
+        ((1.0, np.inf, np.inf), (np.inf, np.inf, np.inf)),
+        ((0.0, 1.0, 2.0, np.inf, np.inf), (2.0, 1.0, np.inf)),
+        ((-np.inf, 1.0, 2.0), (1.0, -np.inf, 1.5)),
+        ((-np.inf, np.inf), (np.nan,) * 3),
+        ((1.0, np.nan, np.inf), (np.nan,) * 3),
+    ])
+    def test_quartiles_toward_an_infinity_are_that_infinity(self, values,
+                                                           quartiles):
+        # np.percentile gives nan for 2 + (inf - 2) * 0 and for
+        # inf - (inf - 2) * 0.5; the quartile is the value in the extended
+        # reals, and only -inf..+inf and a nan input stay nan
+        reps = [constant_report(v, n=1) for v in values]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = emit_summary(reps).splitlines()[1].split(",")
+        got = [float(v) for v in row[1:4]]
+        np.testing.assert_array_equal(got, quartiles)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_per_column_percentiles(self, seed):
         # one np.percentile call per history gives the bytes of one call
@@ -343,6 +365,27 @@ class TestRunExperiment:
         content = open(os.path.join(out, "MANIFEST")).read()
         assert "failed solver_seed0.csv" in content
 
+    def test_failed_task_removes_an_earlier_runs_csv(self, tmp_path, monkeypatch):
+        cfg = parse_config_text(LASSO_CFG)
+        out = tmp_path / "o"
+        run_experiment(cfg, str(out))
+        first = (out / "solver_seed0.csv").read_bytes()
+        run_one = proxkit.bench._run_one
+
+        def boom_on_seed_1(config, arm, sname, params, seed):
+            if seed == 1:
+                raise RuntimeError("boom")
+            return run_one(config, arm, sname, params, seed)
+
+        monkeypatch.setattr(proxkit.bench, "_run_one", boom_on_seed_1)
+        manifest = run_experiment(cfg, str(out))
+        assert [f["file"] for f in manifest["failures"]] == ["solver_seed1.csv"]
+        assert sorted(f.name for f in out.iterdir()) == [
+            "MANIFEST", "solver_seed0.csv", "summary.csv"]
+        assert (out / "solver_seed0.csv").read_bytes() == first
+        assert ("failed solver_seed1.csv: RuntimeError: boom"
+                in (out / "MANIFEST").read_text().splitlines())
+
     @pytest.mark.parametrize("solver", ["proxlinear", "proximal_point"])
     def test_proxlinear_on_finite_sum_recorded_in_manifest(self, tmp_path, solver):
         # ridge is a finite sum, neither kind of composite these solvers take
@@ -404,6 +447,57 @@ run.target_gap = 1e-6
         ratio_rows = [r for r in rows if r.startswith("ratio,")]
         assert len(ratio_rows) == 1
         assert float(ratio_rows[0].split(",")[2]) > 0
+        assert "no ratio" not in open(os.path.join(out, "MANIFEST")).read()
+
+    def _ratio_bundle(self, out, baseline_eps):
+        cfg = parse_config_text(
+            "problem.name = ridge\nproblem.d = 8\nproblem.m = 30\n"
+            "problem.cond = 100\nsolver.name = catalyst-gd\nsolver.eps = 1e-9\n"
+            "baseline.name = gd\nbaseline.eps = %s\nseeds = 0, 1, 2\n"
+            "run.target_gap = 1e-6\n" % baseline_eps)
+        manifest = run_experiment(cfg, str(out))
+        return ((out / "summary.csv").read_text().splitlines(),
+                (out / "MANIFEST").read_text().splitlines(), manifest)
+
+    def test_no_ratio_row_when_an_arm_misses_the_target(self, tmp_path):
+        # gd stopped at a gradient bound of 1e-4 stays above the 1e-6 gap
+        # on every seed, and catalyst-gd reaches it on every seed
+        summary, manifest, _ = self._ratio_bundle(tmp_path / "o", "1e-4")
+        assert not [r for r in summary if r.startswith("ratio,")]
+        assert manifest[-1] == ("no ratio: target_gap reached by solver 3/3 "
+                                "seeds, baseline 0/3 seeds")
+
+    def test_no_ratio_row_on_a_subset_of_seeds(self, tmp_path, monkeypatch):
+        # every run that finishes reaches the target, but one baseline
+        # seed fails: a median over the other two would hide it
+        run_one = proxkit.bench._run_one
+
+        def fail_baseline_seed_1(config, arm, sname, params, seed):
+            if arm == "baseline" and seed == 1:
+                raise RuntimeError("boom")
+            return run_one(config, arm, sname, params, seed)
+
+        monkeypatch.setattr(proxkit.bench, "_run_one", fail_baseline_seed_1)
+        summary, manifest, result = self._ratio_bundle(tmp_path / "o", "1e-9")
+        assert len(result["failures"]) == 1
+        assert not [r for r in summary if r.startswith("ratio,")]
+        assert manifest[-2:] == [
+            "failed baseline_seed1.csv: RuntimeError: boom",
+            "no ratio: target_gap reached by solver 3/3 seeds, baseline 2/3 seeds"]
+
+    def test_infinite_objective_gives_infinite_quartiles(self, tmp_path):
+        # the harness's standard-normal start lies outside the box, so
+        # every run's iteration-0 objective is inf
+        cfg = parse_config_text("problem.name = box_nls\nproblem.d = 3\n"
+                                "problem.m = 2\nsolver.name = proximal_point\n"
+                                "seeds = 0, 1, 2, 3\n")
+        out = tmp_path / "box"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_experiment(cfg, str(out))
+        row = (out / "summary.csv").read_text().splitlines()[2].split(",")
+        assert row[:5] == ["solver", "0", "inf", "inf", "inf"]
+        assert all(np.isfinite(float(v)) for v in row[5:])
 
 
 class TestCli:
