@@ -195,6 +195,18 @@ def constant_report(value, n=5):
     return rep
 
 
+def fail_task(monkeypatch, arm, seed):
+    """Make the harness's (arm, seed) task raise RuntimeError('boom')."""
+    run_one = proxkit.bench._run_one
+
+    def run(config, task_arm, sname, params, task_seed):
+        if (task_arm, task_seed) == (arm, seed):
+            raise RuntimeError("boom")
+        return run_one(config, task_arm, sname, params, task_seed)
+
+    monkeypatch.setattr(proxkit.bench, "_run_one", run)
+
+
 def test_record_rejects_falling_evals():
     rep = constant_report(1.0)
     with pytest.raises(AssertionError, match="monotone"):
@@ -258,7 +270,7 @@ class TestEmitSummary:
     @pytest.mark.parametrize("values,quartiles", [
         ((1.0, 2.0, np.inf), (2.0, 1.5, np.inf)),
         ((np.inf, np.inf, np.inf, np.inf), (np.inf,) * 3),
-        ((1.0, np.inf, np.inf), (np.inf, np.inf, np.inf)),
+        ((1.0, np.inf, np.inf), (np.inf,) * 3),
         ((0.0, 1.0, 2.0, np.inf, np.inf), (2.0, 1.0, np.inf)),
         ((-np.inf, 1.0, 2.0), (1.0, -np.inf, 1.5)),
         ((-np.inf, np.inf), (np.nan,) * 3),
@@ -370,14 +382,7 @@ class TestRunExperiment:
         out = tmp_path / "o"
         run_experiment(cfg, str(out))
         first = (out / "solver_seed0.csv").read_bytes()
-        run_one = proxkit.bench._run_one
-
-        def boom_on_seed_1(config, arm, sname, params, seed):
-            if seed == 1:
-                raise RuntimeError("boom")
-            return run_one(config, arm, sname, params, seed)
-
-        monkeypatch.setattr(proxkit.bench, "_run_one", boom_on_seed_1)
+        fail_task(monkeypatch, "solver", 1)
         manifest = run_experiment(cfg, str(out))
         assert [f["file"] for f in manifest["failures"]] == ["solver_seed1.csv"]
         assert sorted(f.name for f in out.iterdir()) == [
@@ -470,14 +475,7 @@ run.target_gap = 1e-6
     def test_no_ratio_row_on_a_subset_of_seeds(self, tmp_path, monkeypatch):
         # every run that finishes reaches the target, but one baseline
         # seed fails: a median over the other two would hide it
-        run_one = proxkit.bench._run_one
-
-        def fail_baseline_seed_1(config, arm, sname, params, seed):
-            if arm == "baseline" and seed == 1:
-                raise RuntimeError("boom")
-            return run_one(config, arm, sname, params, seed)
-
-        monkeypatch.setattr(proxkit.bench, "_run_one", fail_baseline_seed_1)
+        fail_task(monkeypatch, "baseline", 1)
         summary, manifest, result = self._ratio_bundle(tmp_path / "o", "1e-9")
         assert len(result["failures"]) == 1
         assert not [r for r in summary if r.startswith("ratio,")]
