@@ -33,6 +33,7 @@ import hashlib
 import inspect
 import math
 import os
+import re
 import time
 import traceback
 from dataclasses import dataclass
@@ -55,6 +56,8 @@ _SUMMARY_COLUMNS = (
     "iter,objective_median,objective_p25,objective_p75,"
     "stationarity_median,stationarity_p25,stationarity_p75"
 )
+# the per-task CSVs run_experiment writes: <arm>_seed<N>.csv
+_SEED_CSV = re.compile(r"^(solver|baseline)_seed-?\d+\.csv$")
 
 
 def _fmt(x) -> str:
@@ -414,9 +417,11 @@ def _run_csv_text(config: ExperimentConfig, report, seed: int, wall_ns: int) -> 
         "# proxkit=%s,config_sha256=%s,seed=%d" % (_VERSION, config.sha256, seed),
         _CSV_COLUMNS,
     ]
-    for it, obj, stat, evals in zip(report.iteration_index, report.objective_history,
-                                    report.stationarity_history, report.evals_history):
-        lines.append(",".join([str(it), _fmt(obj), _fmt(stat), str(evals), str(wall_ns)]))
+    # one % per row; "%.17g" % x is _fmt(x) for every float, inf, nan and
+    # -0.0 included
+    row = "%d,%.17g,%.17g,%d," + str(wall_ns)
+    lines += [row % r for r in zip(report.iteration_index, report.objective_history,
+                                    report.stationarity_history, report.evals_history)]
     return "\n".join(lines) + "\n"
 
 
@@ -437,8 +442,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     CSV bundle.
 
     Returns a manifest dict with the written files and any failures;
-    partial outputs are retained when some runs fail, and a failed run's
-    CSV left in ``out_dir`` by an earlier run is removed.
+    partial outputs are retained when some runs fail.  A per-seed CSV that
+    an earlier run left in ``out_dir`` and this run does not write, for a
+    failed task or for an arm or seed this config does not run, is
+    removed, so the directory holds what the MANIFEST lists.
     """
     raw_offset = os.environ.get("PROXKIT_SEED_OFFSET", "0")
     try:
@@ -466,8 +473,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
                                                           params, seed)
             except Exception as exc:  # a crashing task is recorded, not fatal
                 failures.append(_failure(fname, arm, sname, seed, exc))
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(path)
                 continue
             with open(path, "w", newline="\n") as fh:
                 fh.write(_run_csv_text(config, report, seed, wall_ns))
@@ -495,6 +500,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
             notes.append("no ratio: target_gap reached by %s" % ", ".join(
                 "%s %d/%d seeds" % (arm, len(evs), len(seeds))
                 for arm, evs in to_target.items()))
+
+    for stale in set(os.listdir(out_dir)).difference(files):
+        if _SEED_CSV.match(stale):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, stale))
 
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="\n") as fh:
         fh.write("\n".join(summary_lines) + "\n")

@@ -98,7 +98,8 @@ def prox_map(f, nu: float, z, inner_tol: float = 1e-10, *, _start=None) -> Morea
     iterative solve (FISTA or prox-linear) stops once its certificate is
     at most ``inner_tol``; ``proximal_point_run`` passes a tolerance that
     shrinks with the outer progress, down to its own ``inner_tol``, and
-    ``_start``, the point FISTA begins at (the other branches ignore it).
+    ``_start``, the point FISTA begins at, predicted from the iteration's
+    last two steps (the other branches ignore it).
     """
     z = np.asarray(z, dtype=float)
     rho = float(getattr(f, "rho", 0.0))
@@ -111,13 +112,15 @@ def prox_map(f, nu: float, z, inner_tol: float = 1e-10, *, _start=None) -> Morea
     if inner_tol <= 0:
         raise ValueError("inner_tol must be positive")
 
-    if hasattr(f, "prox"):
-        p = np.asarray(f.prox(nu, z), dtype=float)
-        cert = 0.0
-    elif isinstance(f, SmoothPlusProx):
+    # the two iterative branches go first: they are the iteration's hot
+    # path, where a failed hasattr would raise and catch once per map
+    if isinstance(f, SmoothPlusProx):
         p, cert = _fista_prox(f, nu, z, inner_tol, _FISTA_STEPS, _start)
     elif isinstance(f, CompositeProblem):
         p, cert = _prox_composite(f, nu, z, inner_tol, _COMPOSITE_STEPS)
+    elif hasattr(f, "prox"):
+        p = np.asarray(f.prox(nu, z), dtype=float)
+        cert = 0.0
     else:
         raise TypeError(
             "cannot compute prox of %r: need a closed-form prox, a "
@@ -173,9 +176,12 @@ def proximal_point_run(
     ``inner_tol``, so ``inner_tol`` is the floor of the schedule.  The run
     stops on a step with stationarity below ``step_tol`` whose prox map
     certified ``max(inner_tol, 0.01 * step_tol)`` or better.
-    Prox map t + 1 begins its FISTA at x_t + (x_t - x_{t-1}), where the
-    iteration is heading (the prox map is 1-Lipschitz, and late iterates
-    move nearly along a line); the first begins at its center.
+    Prox map t + 1 begins its FISTA where the iteration is heading, at
+    x_{t+1} + q_t (x_{t+1} - x_t) with q_t = min(1, stat_t / stat_{t-1}):
+    late iterates move nearly along a line by steps that shrink
+    geometrically, and q_t is the last ratio of step lengths.  The first
+    extrapolated map takes q = 1, the last step repeated, and q = 0 (the
+    center) when stat_{t-1} = 0; prox map 0 begins at its center.
     Calls are counted on ``f.counters`` from the start of this run, or one
     per iteration for a bundle without counters (a closed-form prox).
     """
@@ -187,7 +193,7 @@ def proximal_point_run(
     value = f.value(x)
     stop_tol = max(inner_tol, _INNER_REL * step_tol)
     tol = inner_tol
-    x_start = None
+    x_start = stat_prev = None
     for t in range(max_iters):
         mp = prox_map(f, nu, x, inner_tol=tol, _start=x_start)
         stat = euclidean_norm(mp.envelope_gradient)
@@ -197,7 +203,12 @@ def proximal_point_run(
         if stat < step_tol and mp.certificate <= stop_tol:
             break
         tol = max(inner_tol, _INNER_REL * stat)
-        x_start = x + (x - x_prev)
+        if stat_prev is None:
+            q = 1.0
+        else:
+            q = min(1.0, stat / stat_prev) if stat_prev > 0 else 0.0
+        x_start = x + q * (x - x_prev)
+        stat_prev = stat
     report.solution = x
     report.oracle_calls = calls_since(counters, start) if counters else {}
     return report

@@ -244,6 +244,23 @@ def test_typed_rows_give_the_bytes_of_list_rows():
             == proxkit.estimate_local_rate(rows.stationarity_history))
 
 
+def test_csv_rows_are_the_fmt_form():
+    # one % per row gives the bytes of _fmt on each value, the values
+    # "%.17g" could print differently included: infinities, NaN, -0.0,
+    # subnormals, integral floats and 17-digit ones
+    values = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e300, 3.0, -2.5,
+              0.1, 1 / 3, 123456789012345678.0, 1e-7]
+    rep = SolverReport()
+    for t, v in enumerate(values):
+        rep.record(t, v, values[-1 - t], 7 * t)
+    cfg = parse_config_text(LASSO_CFG)
+    fmt = proxkit.bench._fmt
+    for wall_ns in (0, 123456789):
+        rows = proxkit.bench._run_csv_text(cfg, rep, 0, wall_ns).splitlines()[2:]
+        assert rows == [",".join([str(t), fmt(v), fmt(values[-1 - t]), str(7 * t),
+                                  str(wall_ns)]) for t, v in enumerate(values)]
+
+
 class TestEmitSummary:
     def test_single_report_medians_equal_values(self):
         rep = constant_report(2.0)
@@ -390,6 +407,27 @@ class TestRunExperiment:
         assert (out / "solver_seed0.csv").read_bytes() == first
         assert ("failed solver_seed1.csv: RuntimeError: boom"
                 in (out / "MANIFEST").read_text().splitlines())
+
+    def test_fewer_seeds_remove_an_earlier_configs_csvs(self, tmp_path):
+        # a two-arm config on seeds 0, 1, 2 and then a one-arm config on
+        # seeds 0, 1, into one directory, leave the bundle a fresh
+        # directory gets: no solver_seed2.csv or baseline_seed*.csv that
+        # the MANIFEST does not list.  Files that are not per-seed CSVs
+        # are kept
+        first = LASSO_CFG.replace("seeds = 0, 1", "seeds = 0, 1, 2") + (
+            "baseline.name = proxlinear\nbaseline.outer_iters = 10\n")
+        second = LASSO_CFG
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        run_experiment(parse_config_text(first), str(reused))
+        (reused / "notes.txt").write_text("kept")
+        (reused / "solver_seed2.csv.bak").write_text("kept")
+        run_experiment(parse_config_text(second), str(reused))
+        run_experiment(parse_config_text(second), str(fresh))
+        kept = {"notes.txt", "solver_seed2.csv.bak"}
+        names = sorted(f.name for f in fresh.iterdir())
+        assert sorted(f.name for f in reused.iterdir()) == sorted(kept.union(names))
+        for name in names:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
 
     @pytest.mark.parametrize("solver", ["proxlinear", "proximal_point"])
     def test_proxlinear_on_finite_sum_recorded_in_manifest(self, tmp_path, solver):

@@ -35,6 +35,22 @@ class TestProxAgainstGrid:
         ref = brute_force_prox(g.value, 0.5, z)
         assert abs(p - ref) < 1e-4
 
+    @pytest.mark.parametrize("weight", [0.7, 0.0])
+    @pytest.mark.parametrize("n", [1, 13, 160])
+    def test_l1_is_the_soft_threshold(self, weight, n):
+        # equal to sign(z) max(|z| - t, 0) up to the sign of a zero: random
+        # entries, exact ties |z| = t and their neighbours, infinities, NaN
+        g, nu = L1Norm(weight), 0.5
+        t = nu * weight
+        special = [t, -t, np.nextafter(t, 2.0), np.nextafter(-t, -2.0),
+                   np.nextafter(t, -2.0), 0.0, -0.0, np.inf, -np.inf, np.nan]
+        rng = RandomStream(22)
+        for _ in range(20):
+            z = np.concatenate([special, rng.normal(n)])
+            z = z[rng.integers(0, z.size, size=n)]
+            ref = np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+            assert np.array_equal(g.prox(nu, z), ref, equal_nan=True)
+
     @pytest.mark.parametrize("z", [-2.0, 0.4, 1.9])
     def test_squared_l2(self, z):
         g = SquaredL2(weight=2.0)
