@@ -32,7 +32,6 @@ c = SmoothMap(
     vjp=lambda x, u: 2.0 * x * u,
     beta=2.0,
     dim_in=1,
-    dim_out=1,
 )
 f = CompositeProblem(Zero(), L1Norm(), c)
 print("f(x) = |x^2 - 1|,  weak convexity modulus rho =", f.rho)

@@ -60,13 +60,6 @@ _SUMMARY_COLUMNS = (
 _SEED_CSV = re.compile(r"^(solver|baseline)_seed-?\d+\.csv$")
 
 
-def _fmt(x) -> str:
-    """17 significant digits, '.' decimal point."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # Solver registry.  An entry is (runner, params): the runner maps
 # (instance, values, seed) to a SolverReport, and params holds the accepted
@@ -373,8 +366,8 @@ def emit_summary(reports) -> str:
 
     q = np.concatenate([_quartiles(obj), _quartiles(stat)]).T
     lines = [_SUMMARY_COLUMNS]
-    for k in range(obj.shape[1]):
-        lines.append(",".join([str(iters[k])] + [_fmt(v) for v in q[k]]))
+    row = "%d" + ",%.17g" * q.shape[1]
+    lines += [row % (i, *qk) for i, qk in zip(iters, q)]
     return "\n".join(lines) + "\n"
 
 
@@ -417,20 +410,17 @@ def _run_csv_text(config: ExperimentConfig, report, seed: int, wall_ns: int) -> 
         "# proxkit=%s,config_sha256=%s,seed=%d" % (_VERSION, config.sha256, seed),
         _CSV_COLUMNS,
     ]
-    # one % per row; "%.17g" % x is _fmt(x) for every float, inf, nan and
-    # -0.0 included
     row = "%d,%.17g,%.17g,%d," + str(wall_ns)
     lines += [row % r for r in zip(report.iteration_index, report.objective_history,
                                     report.stationarity_history, report.evals_history)]
     return "\n".join(lines) + "\n"
 
 
-def _failure(fname, arm, sname, seed, exc) -> dict:
+def _failure(fname, sname, seed, exc) -> dict:
     """MANIFEST record of a task that raised.  A ProxkitError's message
     says what failed; any other exception is named by its type, on one
     line, and keeps its traceback for the caller to show."""
-    fail = {"file": fname, "arm": arm, "solver": sname, "seed": seed,
-            "error": str(exc)}
+    fail = {"file": fname, "solver": sname, "seed": seed, "error": str(exc)}
     if not isinstance(exc, ProxkitError):
         fail["error"] = "%s: %s" % (type(exc).__name__, " ".join(str(exc).split()))
         fail["traceback"] = "".join(traceback.format_exception(exc))
@@ -472,7 +462,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
                 report, optimum_value, wall_ns = _run_one(config, arm, sname,
                                                           params, seed)
             except Exception as exc:  # a crashing task is recorded, not fatal
-                failures.append(_failure(fname, arm, sname, seed, exc))
+                failures.append(_failure(fname, sname, seed, exc))
                 continue
             with open(path, "w", newline="\n") as fh:
                 fh.write(_run_csv_text(config, report, seed, wall_ns))
@@ -492,10 +482,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     if len(config.arms) == 2 and config.target_gap is not None:
         if all(len(evs) == len(seeds) for evs in to_target.values()):
             solver, baseline = (np.median(to_target[a]) for a in ("solver", "baseline"))
-            summary_lines.append(",".join([
-                "ratio", "baseline_over_solver", _fmt(baseline / solver),
-                _fmt(solver), _fmt(baseline), "", "", "",
-            ]))
+            summary_lines.append("ratio,baseline_over_solver,%.17g,%.17g,%.17g,,,"
+                                 % (baseline / solver, solver, baseline))
         else:
             notes.append("no ratio: target_gap reached by %s" % ", ".join(
                 "%s %d/%d seeds" % (arm, len(evs), len(seeds))

@@ -194,7 +194,6 @@ class SmoothMap:
     vjp: Callable[[np.ndarray, np.ndarray], np.ndarray]
     beta: float
     dim_in: int
-    dim_out: int
     linearize: Optional[Callable] = None
 
     def __post_init__(self):

@@ -174,7 +174,7 @@ def pgsg_run(
 
     counters = problem.counters
     start = dict(counters)
-    visited = [x.copy()]
+    visited = []
 
     def stationarity(xt, xprev):
         if problem.envelope_oracle is not None:
@@ -189,7 +189,7 @@ def pgsg_run(
         j_t = int(schedule.inner_counts(t))
         if j_t < 1:
             raise ValueError("inner count must be >= 1")
-        draws = problem.presample(rng, max(j_t - 1, 0)).tolist()
+        draws = problem.presample(rng, j_t - 1).tolist()
         args = (problem.stoch_subgrad, two_rho, P, gain, folds, problem.A, x,
                 draws, t, counters)
         try:
@@ -214,10 +214,10 @@ def pgsg_run(
             report.record(t + 1, f, stationarity(x_new, x),
                           calls_since(counters, start)["stoch_subgrad"])
         x = x_new
-        visited.append(x.copy())
+        visited.append(x)
 
     # the guarantee holds for an iterate drawn uniformly from x_1..x_T
     pick = int(rng.integers(1, outer_iters + 1))
-    report.solution = visited[pick]
+    report.solution = visited[pick - 1]
     report.oracle_calls = calls_since(counters, start)
     return report

@@ -30,7 +30,6 @@ from .rng import RandomStream
 
 @dataclass
 class SyntheticInstance:
-    name: str
     problem: object
     arrays: dict = field(default_factory=dict)
     ground_truth: Optional[np.ndarray] = None
@@ -79,7 +78,6 @@ def make_phase_retrieval(d: int, m: int, outlier_frac: float = 0.0,
         vjp=lambda x, u: 2.0 * (A.T @ (u * (A @ x))),
         beta=beta,
         dim_in=d,
-        dim_out=m,
         linearize=linearize,
     )
     problem = CompositeProblem(Zero(), L1Mean(m), c)
@@ -110,7 +108,6 @@ def make_phase_retrieval(d: int, m: int, outlier_frac: float = 0.0,
     )
 
     return SyntheticInstance(
-        name="phase_retrieval",
         problem=problem,
         arrays={"A": A, "b": b},
         ground_truth=xbar,
@@ -159,11 +156,10 @@ def make_robust_pca(mrows: int, ncols: int, r: int, sparsity: float = 0.0,
     # sum_ij |dU_i . dV_j| <= sqrt(m n) / 2 * ||(dU, dV)||^2
     c = SmoothMap(eval=c_eval, jvp=c_jvp, vjp=c_vjp,
                   beta=float(np.sqrt(mrows * ncols)),
-                  dim_in=nu + nv, dim_out=mrows * ncols)
+                  dim_in=nu + nv)
     problem = CompositeProblem(Zero(), L1Norm(1.0), c)
     truth = np.concatenate([Ubar.ravel(), Vbar.ravel()])
     return SyntheticInstance(
-        name="robust_pca",
         problem=problem,
         arrays={"M": M, "Ubar": Ubar, "Vbar": Vbar, "S": S},
         ground_truth=truth,
@@ -206,10 +202,9 @@ def make_z2_sync(d: int, edge_prob: float = 1.0, flip_prob: float = 0.0,
     deg = np.bincount(np.concatenate([ei, ej]), minlength=d)
     c = SmoothMap(eval=c_eval, jvp=c_jvp, vjp=c_vjp,
                   beta=float(max(deg.max(), 1)),
-                  dim_in=d, dim_out=int(ei.size))
+                  dim_in=d)
     problem = CompositeProblem(Zero(), L1Norm(1.0), c)
     return SyntheticInstance(
-        name="z2_sync",
         problem=problem,
         arrays={"edges_i": ei, "edges_j": ej, "obs": obs,
                 "theta_bar": theta_bar.astype(float),
@@ -242,11 +237,9 @@ def make_box_nls(d: int, m: int, seed: int = 0) -> SyntheticInstance:
         return np.einsum("k,kij,j->i", u, Q, x) + u @ q
 
     beta = float(np.sqrt(sum(np.linalg.norm(Qk, 2) ** 2 for Qk in Q)))
-    c = SmoothMap(eval=c_eval, jvp=c_jvp, vjp=c_vjp, beta=beta,
-                  dim_in=d, dim_out=m)
+    c = SmoothMap(eval=c_eval, jvp=c_jvp, vjp=c_vjp, beta=beta, dim_in=d)
     problem = CompositeProblem(BoxIndicator(lower, upper), L2Norm(), c)
     return SyntheticInstance(
-        name="box_nls",
         problem=problem,
         arrays={"Q": Q, "q": q, "r0": r0, "lower": lower, "upper": upper},
         ground_truth=root,
@@ -275,7 +268,6 @@ def make_lasso(d: int, m: int, lam: float = 0.1, seed: int = 0) -> SyntheticInst
                              beta=float(np.linalg.norm(A, 2)) ** 2,
                              g=L1Norm(lam), dim=d)
     return SyntheticInstance(
-        name="lasso",
         problem=problem,
         arrays={"A": A, "b": b},
         ground_truth=x_sparse,
@@ -302,7 +294,6 @@ def make_ridge(d: int, m: int, cond: float = 1e4, seed: int = 0) -> SyntheticIns
     problem = FiniteSumProblem(A, SquaredLoss(b), mu)
     opt = np.linalg.solve(A.T @ A / m + mu * np.eye(d), A.T @ b / m)
     return SyntheticInstance(
-        name="ridge",
         problem=problem,
         arrays={"A": A, "b": b},
         ground_truth=opt,
@@ -336,7 +327,6 @@ def make_erm_logistic(d: int, m: int, mu: float = 1e-2, seed: int = 0) -> Synthe
         w_opt = w_opt - damp * step
 
     return SyntheticInstance(
-        name="erm_logistic",
         problem=problem,
         arrays={"A": A, "b": b},
         ground_truth=w_opt,

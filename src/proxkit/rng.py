@@ -26,11 +26,8 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
-        key = self.seed | (self.stream_id << 64)
-        self._bitgen = np.random.Philox(key=key)
-        self._gen = np.random.Generator(self._bitgen)
+        key = (int(seed) & _MASK64) | ((int(stream_id) & _MASK64) << 64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)

@@ -117,7 +117,7 @@ def check_adjoint_consistency(
     for _ in range(trials):
         x = sampler.normal(c.dim_in)
         v = sampler.normal(c.dim_in)
-        u = sampler.normal(c.dim_out)
+        u = sampler.normal(c.eval(x).size)
         a = float(u @ c.jvp(x, v))
         b = float(c.vjp(x, u) @ v)
         worst = max(worst, abs(a - b) / (1.0 + abs(a)))

@@ -31,6 +31,17 @@ solver.outer_iters = 30
 seeds = 0, 1
 """
 
+PGSG_CFG = """\
+problem.name = phase_retrieval
+problem.d = 5
+problem.m = 30
+problem.outlier_frac = 0.1
+solver.name = pgsg
+solver.outer_iters = 4
+solver.stat_every = 2
+seeds = 0, 1
+"""
+
 
 class TestConfigParsing:
     def test_valid_config(self):
@@ -245,19 +256,19 @@ def test_typed_rows_give_the_bytes_of_list_rows():
 
 
 def test_csv_rows_are_the_fmt_form():
-    # one % per row gives the bytes of _fmt on each value, the values
-    # "%.17g" could print differently included: infinities, NaN, -0.0,
-    # subnormals, integral floats and 17-digit ones
+    # one % per row gives the bytes of format(v, ".17g") on each value,
+    # infinities, NaN, -0.0, subnormals, integral floats and 17-digit ones
+    # included
     values = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e300, 3.0, -2.5,
               0.1, 1 / 3, 123456789012345678.0, 1e-7]
     rep = SolverReport()
     for t, v in enumerate(values):
         rep.record(t, v, values[-1 - t], 7 * t)
     cfg = parse_config_text(LASSO_CFG)
-    fmt = proxkit.bench._fmt
     for wall_ns in (0, 123456789):
         rows = proxkit.bench._run_csv_text(cfg, rep, 0, wall_ns).splitlines()[2:]
-        assert rows == [",".join([str(t), fmt(v), fmt(values[-1 - t]), str(7 * t),
+        assert rows == [",".join([str(t), format(v, ".17g"),
+                                  format(values[-1 - t], ".17g"), str(7 * t),
                                   str(wall_ns)]) for t, v in enumerate(values)]
 
 
@@ -329,7 +340,7 @@ class TestEmitSummary:
         for k in range(obj.shape[1]):
             qo = np.percentile(obj[:, k], [50, 25, 75])
             qs = np.percentile(stat[:, k], [50, 25, 75])
-            ref.append(",".join([str(iters[k])] + [proxkit.bench._fmt(v)
+            ref.append(",".join([str(iters[k])] + [format(float(v), ".17g")
                                                    for v in np.concatenate([qo, qs])]))
         assert emit_summary(reps).encode() == ("\n".join(ref) + "\n").encode()
 
@@ -521,6 +532,40 @@ run.target_gap = 1e-6
             "failed baseline_seed1.csv: RuntimeError: boom",
             "no ratio: target_gap reached by solver 3/3 seeds, baseline 2/3 seeds"]
 
+    def test_ratio_by_stationarity_when_the_optimum_is_unknown(self, tmp_path):
+        # lasso has no known optimum, so a seed's evals to target are those
+        # of its first row with stationarity <= target_gap
+        cfg = parse_config_text("""\
+problem.name = lasso
+problem.d = 20
+problem.m = 40
+solver.name = proximal_point
+solver.max_iters = 2000
+solver.step_tol = 1e-8
+baseline.name = proxlinear
+baseline.outer_iters = 400
+baseline.stat_tol = 1e-8
+seeds = 0, 1, 2
+run.target_gap = 1e-6
+""")
+        out = tmp_path / "stat"
+        run_experiment(cfg, str(out))
+        median = {}
+        for arm in ("solver", "baseline"):
+            evs = []
+            for seed in cfg.seeds:
+                text = (out / ("%s_seed%d.csv" % (arm, seed))).read_text()
+                rows = [r.split(",") for r in text.splitlines()[2:]]
+                evs.append(next(int(r[3]) for r in rows if float(r[2]) <= 1e-6))
+            median[arm] = np.median(evs)
+        solver, baseline = median["solver"], median["baseline"]
+        ref = ",".join(["ratio", "baseline_over_solver"]
+                       + [format(float(v), ".17g")
+                          for v in (baseline / solver, solver, baseline)]
+                       + ["", "", ""])
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert [r for r in summary if r.startswith("ratio,")] == [ref]
+
     def test_infinite_objective_gives_infinite_quartiles(self, tmp_path):
         # the harness's standard-normal start lies outside the box, so
         # every run's iteration-0 objective is inf
@@ -649,6 +694,10 @@ class TestCli:
         assert "--jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_config_path_exits_2(self, capsys):
+        assert cli_main(["run"]) == 2
+        assert "missing config path" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         assert cli_main(["run", "/nonexistent/x.cfg"]) == 2
 
@@ -683,3 +732,25 @@ class TestCli:
         p = tmp_path / "ok.cfg"
         p.write_text(LASSO_CFG)
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == 0
+
+    def test_pgsg_arm_exits_0_and_reruns_byte_identical(self, tmp_path):
+        p = tmp_path / "pgsg.cfg"
+        p.write_text(PGSG_CFG)
+        bundles = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert cli_main(["run", str(p), "--out", str(out)]) == 0
+            bundles.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert bundles[0] == bundles[1]
+        rows = bundles[0]["solver_seed0.csv"].decode().splitlines()[2:]
+        assert [(r.split(",")[0], r.split(",")[3]) for r in rows] == [
+            ("1", "4195"), ("2", "8391"), ("4", "16786")]
+
+    def test_pgsg_zero_stat_every_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "pgsg.cfg"
+        p.write_text(PGSG_CFG.replace("solver.stat_every = 2",
+                                      "solver.stat_every = 0"))
+        out = tmp_path / "o"
+        assert cli_main(["run", str(p), "--out", str(out)]) == 2
+        assert "solver.stat_every" in capsys.readouterr().err
+        assert not out.exists()

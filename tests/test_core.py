@@ -84,7 +84,7 @@ class TestOperatorTools:
         return SmoothMap(
             eval=lambda x: A @ x, jvp=lambda x, v: A @ v,
             vjp=lambda x, u: Bt.T @ u, beta=0.0,
-            dim_in=A.shape[1], dim_out=A.shape[0],
+            dim_in=A.shape[1],
         )
 
     def test_adjoint_consistency_matrix(self):

@@ -31,7 +31,7 @@ def abs_composite():
         eval=lambda x: x * x - 1.0,
         jvp=lambda x, v: 2.0 * x * v,
         vjp=lambda x, u: 2.0 * x * u,
-        beta=2.0, dim_in=1, dim_out=1,
+        beta=2.0, dim_in=1,
     )
     return CompositeProblem(Zero(), L1Norm(1.0), c)
 

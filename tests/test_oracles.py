@@ -139,7 +139,7 @@ class TestCompositeProblem:
         A = RandomStream(23).normal((6, 3))
         c = SmoothMap(
             eval=lambda x: A @ x, jvp=lambda x, v: A @ v,
-            vjp=lambda x, u: A.T @ u, beta=0.0, dim_in=3, dim_out=6,
+            vjp=lambda x, u: A.T @ u, beta=0.0, dim_in=3,
         )
         return CompositeProblem(L1Norm(0.2), L1Mean(6), c), A
 

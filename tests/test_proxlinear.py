@@ -32,7 +32,7 @@ def linear_l1mean_problem(seed=41, d=4, m=7):
     A, b = rng.normal((m, d)), rng.normal(m)
     c = SmoothMap(
         eval=lambda x: A @ x - b, jvp=lambda x, v: A @ v,
-        vjp=lambda x, u: A.T @ u, beta=0.0, dim_in=d, dim_out=m,
+        vjp=lambda x, u: A.T @ u, beta=0.0, dim_in=d,
     )
     return CompositeProblem(Zero(), L1Mean(m), c), A, b
 
@@ -74,7 +74,7 @@ class TestModelSubproblem:
             return A.T @ u
 
         c = SmoothMap(eval=lambda x: np.zeros(3), jvp=lambda x, v: A @ v, vjp=vjp,
-                      beta=0.0, dim_in=2, dim_out=3)
+                      beta=0.0, dim_in=2)
         prob = CompositeProblem(Zero(), L1Mean(3), c)
         with np.errstate(all="ignore"), pytest.raises(BudgetExceeded):
             _solve_model_subproblem(prob, np.ones(2), 1.0, gap_tol=1e-8, max_iters=50)
@@ -108,7 +108,7 @@ class TestModelSubproblem:
             return c.vjp(x, u)
 
         capped = SmoothMap(eval=c.eval, jvp=c.jvp, vjp=vjp, beta=c.beta,
-                           dim_in=c.dim_in, dim_out=c.dim_out)
+                           dim_in=c.dim_in)
         prob = CompositeProblem(inst.problem.g, inst.problem.h, capped)
         with pytest.raises(OracleFailure, match="c\\(x_t\\) is not finite"):
             prox_map(prob, 0.01, RandomStream(45).normal(4), inner_tol=1e-8)
@@ -232,14 +232,14 @@ def _oracles_return_their_input(seed=50, m=12):
     while the result is live, gets other numbers."""
     b = 0.05 * RandomStream(seed).normal(m)  # residuals near 1/m: u not pinned
     c = SmoothMap(eval=lambda x: x - b, jvp=lambda x, v: v, vjp=lambda x, u: u,
-                  beta=0.0, dim_in=m, dim_out=m)
+                  beta=0.0, dim_in=m)
     return CompositeProblem(_ZeroReturningItsArgument(), _L1MeanProjectingInPlace(m), c)
 
 
 def _abs_x2_minus_one_shifted():
     """Criterion 1's |x^2 - 1|, as its composite prox map solves it."""
     c = SmoothMap(eval=lambda x: x * x - 1.0, jvp=lambda x, v: 2.0 * x * v,
-                  vjp=lambda x, u: 2.0 * x * u, beta=2.0, dim_in=1, dim_out=1)
+                  vjp=lambda x, u: 2.0 * x * u, beta=2.0, dim_in=1)
     return CompositeProblem(ShiftedQuadraticProx(Zero(), 0.2, np.array([0.3])),
                             L1Norm(1.0), c)
 
@@ -284,7 +284,7 @@ def test_pdhg_loop_is_textbook_bit_for_bit(case, short):
     x_t = make_start()
     kwargs = {"gap_tol": gap_tol}
     if short:
-        m = make_problem().c.dim_out
+        m = make_problem().c.eval(x_t).size
         kwargs.update(max_iters=60, warm_dual=1e-3 * RandomStream(54).normal(m))
     ref = _pdhg_outcome(_textbook_pdhg, make_problem, x_t, **kwargs)
     new = _pdhg_outcome(_solve_model_subproblem, make_problem, x_t, **kwargs)

@@ -13,6 +13,9 @@ script imports proxkit from ``TREE/src`` and prints one line per output:
 * ``fanout/jobsN/FILE SHA``: every file of the bundle of perfbench's
   ``_CLI_CONFIG`` over seeds 0..31, written by ``proxkit run --jobs N``
   for N = 1 and 2;
+* ``pgsg/FILE SHA``: every file of the bundle of ``PGSG_CONFIG``, a
+  PGSG arm written by ``proxkit run``, since no criterion-9 config runs
+  the harness's PGSG arm;
 * ``catalyst_ridge/ARM/seedS SHA``: the solution and the four histories
   of each of the four solves of perfbench's ``CatalystRidge`` workload,
   the only accelerated SVRG runs here;
@@ -41,6 +44,16 @@ import sys
 import tempfile
 
 FANOUT_SEEDS = range(32)
+PGSG_CONFIG = """\
+problem.name = phase_retrieval
+problem.d = 5
+problem.m = 30
+problem.outlier_frac = 0.1
+solver.name = pgsg
+solver.outer_iters = 4
+solver.stat_every = 2
+seeds = 0, 1
+"""
 
 
 def _sha(data: bytes) -> str:
@@ -79,6 +92,20 @@ def demo_lines(tree, scratch):
     return lines
 
 
+def _cli_bundle_lines(text, prefix, scratch, flags=()):
+    """The lines of the bundle ``proxkit run`` writes for config ``text``."""
+    from proxkit import cli
+
+    name = prefix.replace("/", "-")
+    config, out = (os.path.join(scratch, name + ext) for ext in (".cfg", ""))
+    with open(config, "w") as fh:
+        fh.write(text)
+    code = cli.main(["run", config, "--out", out, *flags])
+    if code != 0:
+        raise RuntimeError("proxkit run %s exited %d" % (prefix, code))
+    return _bundle_lines(prefix, out)
+
+
 def _seed_lines(workloads, workload, scratch, fields):
     """One line per solve of a workload whose tasks start with their seed:
     the digest of the report's ``fields``, in that order."""
@@ -95,7 +122,6 @@ def _seed_lines(workloads, workload, scratch, fields):
 
 def bundle_lines(tree, scratch):
     import proxkit
-    from proxkit import cli
 
     acceptance = _load("_digest_acceptance",
                        os.path.join(tree, "tests", "test_acceptance.py"))
@@ -106,15 +132,11 @@ def bundle_lines(tree, scratch):
         out = os.path.join(scratch, "criterion9-%d" % idx)
         proxkit.run_experiment(proxkit.parse_config_text(text), out)
         lines += _bundle_lines("criterion9/%d" % idx, out)
-    fanout = os.path.join(scratch, "fanout.cfg")
-    with open(fanout, "w") as fh:
-        fh.write(workloads._CLI_CONFIG % ", ".join(str(s) for s in FANOUT_SEEDS))
+    fanout = workloads._CLI_CONFIG % ", ".join(str(s) for s in FANOUT_SEEDS)
     for jobs in ("1", "2"):
-        out = os.path.join(scratch, "fanout-jobs" + jobs)
-        code = cli.main(["run", fanout, "--out", out, "--jobs", jobs])
-        if code != 0:
-            raise RuntimeError("proxkit run --jobs %s exited %d" % (jobs, code))
-        lines += _bundle_lines("fanout/jobs" + jobs, out)
+        lines += _cli_bundle_lines(fanout, "fanout/jobs" + jobs, scratch,
+                                   ["--jobs", jobs])
+    lines += _cli_bundle_lines(PGSG_CONFIG, "pgsg", scratch)
     workload = workloads.CatalystRidge()
     tasks = workload.build(0, scratch)
     for (s, arm, _, _), rep in sorted(zip(tasks, workload.run(tasks)),
