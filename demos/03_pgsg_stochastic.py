@@ -20,10 +20,11 @@ from proxkit import (
 
 inst = make_phase_retrieval(d=10, m=200, outlier_frac=0.1, seed=3)
 sp = inst.stochastic
+d = sp.A.shape[1]
 print("robust phase retrieval with 10%% outliers: d=%d, m=200, rho=%.3f"
-      % (sp.dim, sp.rho))
+      % (d, sp.rho))
 
-x0 = RandomStream(3, stream_id=90).normal(sp.dim)
+x0 = RandomStream(3, stream_id=90).normal(d)
 schedule = default_schedule(sp.rho)
 print("inner counts start at j_0 = %d and grow by one per outer step"
       % schedule.inner_counts(0))

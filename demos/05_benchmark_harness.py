@@ -49,5 +49,4 @@ with open(os.path.join(out, "summary.csv")) as fh:
 for line in lines[:4] + ["  ..."] + lines[-2:]:
     print("  " + line)
 
-print("\nre-running the same config reproduces every file byte for byte;")
-print("set PROXKIT_SEED_OFFSET to shift the seed list without editing it.")
+print("\nre-running the same config reproduces every file byte for byte.")

@@ -19,9 +19,8 @@ MANIFEST line counting the seeds that did when some do not.  Every
 section is checked at parse time: an unknown key or an out-of-range value
 is a line-anchored ConfigError.
 
-Every run is fully determined by the config content (plus the
-PROXKIT_SEED_OFFSET environment variable): identical configs produce
-byte-identical CSV bundles.  The ``wall_ns`` column is 0 unless
+Every run is fully determined by the config content: identical configs
+produce byte-identical CSV bundles.  The ``wall_ns`` column is 0 unless
 PROXKIT_TIMING=1, in which case every row of a run carries the run's
 total wall time; timing is never used in any decision.
 """
@@ -394,8 +393,7 @@ def _build_instance(config: ExperimentConfig, seed: int):
     return GENERATORS[config.problem["name"]](seed=seed, **kwargs)
 
 
-def _run_one(config: ExperimentConfig, arm: str, solver_name: str,
-             params: dict, seed: int):
+def _run_one(config: ExperimentConfig, solver_name: str, params: dict, seed: int):
     """One task: (report, the instance's optimum value, wall_ns)."""
     instance = _build_instance(config, seed)
     t0 = time.perf_counter_ns()
@@ -437,14 +435,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     failed task or for an arm or seed this config does not run, is
     removed, so the directory holds what the MANIFEST lists.
     """
-    raw_offset = os.environ.get("PROXKIT_SEED_OFFSET", "0")
-    try:
-        offset = int(raw_offset)
-    except ValueError:
-        raise ConfigError("PROXKIT_SEED_OFFSET must be an integer, got %r"
-                          % raw_offset) from None
     os.makedirs(out_dir, exist_ok=True)
-    seeds = [s + offset for s in config.seeds]
 
     # one CSV per task and one quartile block per arm; for two arms, a
     # ratio row of the median evals to reach target_gap
@@ -455,12 +446,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     to_target = {}
     for arm, sname, params in config.arms:
         reports, to_target[arm] = [], []
-        for seed in seeds:
+        for seed in config.seeds:
             fname = "%s_seed%d.csv" % (arm, seed)
             path = os.path.join(out_dir, fname)
             try:
-                report, optimum_value, wall_ns = _run_one(config, arm, sname,
-                                                          params, seed)
+                report, optimum_value, wall_ns = _run_one(config, sname, params, seed)
             except Exception as exc:  # a crashing task is recorded, not fatal
                 failures.append(_failure(fname, sname, seed, exc))
                 continue
@@ -480,13 +470,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     # not, so the ratio needs every seed of both arms at the target
     notes = []
     if len(config.arms) == 2 and config.target_gap is not None:
-        if all(len(evs) == len(seeds) for evs in to_target.values()):
+        if all(len(evs) == len(config.seeds) for evs in to_target.values()):
             solver, baseline = (np.median(to_target[a]) for a in ("solver", "baseline"))
             summary_lines.append("ratio,baseline_over_solver,%.17g,%.17g,%.17g,,,"
                                  % (baseline / solver, solver, baseline))
         else:
             notes.append("no ratio: target_gap reached by %s" % ", ".join(
-                "%s %d/%d seeds" % (arm, len(evs), len(seeds))
+                "%s %d/%d seeds" % (arm, len(evs), len(config.seeds))
                 for arm, evs in to_target.items()))
 
     for stale in set(os.listdir(out_dir)).difference(files):

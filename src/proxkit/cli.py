@@ -4,9 +4,9 @@ The runs of a config go one at a time, in (arm, seed) order.  ``--jobs``
 is accepted for compatibility with older command lines: it must be at
 least 1 and does not change how the runs go or what they write.
 
-Exit codes: 0 success, 2 invalid or unreadable config, invalid
-PROXKIT_SEED_OFFSET or unwritable --out, 3 a run raised, whatever the
-exception (partial outputs retained, failures listed in the MANIFEST).
+Exit codes: 0 success, 2 invalid or unreadable config or unwritable
+--out, 3 a run raised, whatever the exception (partial outputs retained,
+failures listed in the MANIFEST).
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ def main(argv=None) -> int:
 
     try:
         manifest = run_experiment(config, args.out)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except OSError as exc:
         print("error: cannot write to --out %s: %s"
               % (args.out, exc.strerror or exc), file=sys.stderr)

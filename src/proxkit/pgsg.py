@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -42,14 +42,12 @@ class StochasticProblem:
     """Sampling access to F(x) = E_i f(x, i) for the linear model
     f(x, i) = phi_i(a_i . x), where a_i is row i of ``A``, shape (m, d).
 
-    Each x -> f(x, i) must be rho-weakly convex.
-    ``full_value`` and ``envelope_oracle`` are evaluation-only extras
-    available on synthetic instances: the latter is a deterministic
-    bundle accepted by :func:`proxkit.moreau.prox_map`, used to report
-    the Moreau envelope gradient of the full objective.
+    Each x -> f(x, i) must be rho-weakly convex.  ``full_problem``, an
+    evaluation-only extra on synthetic instances, is F as a deterministic
+    bundle accepted by :func:`proxkit.moreau.prox_map`; PGSG reports its
+    value and the gradient of its Moreau envelope.
 
-    Draws are row indices.  ``presample(rng, n)`` returns n of them as an
-    array, which PGSG reads through ``tolist()``.  ``stoch_subgrad(t, i)``
+    Draws are row indices, uniform over the m rows.  ``stoch_subgrad(t, i)``
     returns phi_i'(t), a Python float for a Python float t, so the
     subgradient of f(., i) at y is ``stoch_subgrad(a_i . y, i) * A[i]``.
     It must depend on ``(t, i)`` alone: a failing outer step is replayed
@@ -62,10 +60,7 @@ class StochasticProblem:
     stoch_subgrad: Callable[[float, int], float]
     A: np.ndarray
     rho: float
-    dim: int
-    presample: Callable[[RandomStream, int], np.ndarray]
-    full_value: Optional[Callable[[np.ndarray], float]] = None
-    envelope_oracle: object = None
+    full_problem: object = None
 
     def __post_init__(self):
         self.counters = {"stoch_subgrad": 0}
@@ -148,14 +143,14 @@ def pgsg_run(
     """Run the method for ``outer_iters`` outer steps.
 
     Stationarity is recorded every ``stat_every`` outer steps (plus the
-    first and last): the Moreau envelope gradient norm of the full objective
-    at parameter 1/(2 rho) when a deterministic oracle is attached, else
-    the proximal step-size proxy 2 rho ||x_{t+1} - x_t||.
+    first and last): the Moreau envelope gradient norm of ``full_problem``
+    at parameter 1/(2 rho) when it is set, else the proximal step-size
+    proxy 2 rho ||x_{t+1} - x_t|| with the objective recorded as NaN.
     """
     for name, value in (("outer_iters", outer_iters), ("stat_every", stat_every)):
         if value < 1:
             raise ValueError("%s must be >= 1, got %r" % (name, value))
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     two_rho = 2.0 * problem.rho
     report = SolverReport()
 
@@ -172,16 +167,15 @@ def pgsg_run(
     P_arr = np.array(P)
     gain = (alphas / P_arr[1:]).tolist()
 
-    counters = problem.counters
+    full, counters = problem.full_problem, problem.counters
     start = dict(counters)
     visited = []
 
     def stationarity(xt, xprev):
-        if problem.envelope_oracle is not None:
+        if full is not None:
             from .moreau import prox_map
 
-            mp = prox_map(problem.envelope_oracle, 1.0 / two_rho, xt,
-                          inner_tol=_ENVELOPE_INNER_TOL)
+            mp = prox_map(full, 1.0 / two_rho, xt, inner_tol=_ENVELOPE_INNER_TOL)
             return float(np.linalg.norm(mp.envelope_gradient))
         return two_rho * float(np.linalg.norm(xt - xprev))
 
@@ -189,7 +183,7 @@ def pgsg_run(
         j_t = int(schedule.inner_counts(t))
         if j_t < 1:
             raise ValueError("inner count must be >= 1")
-        draws = problem.presample(rng, j_t - 1).tolist()
+        draws = rng.integers(0, len(problem.A), size=j_t - 1).tolist()
         args = (problem.stoch_subgrad, two_rho, P, gain, folds, problem.A, x,
                 draws, t, counters)
         try:
@@ -210,7 +204,7 @@ def pgsg_run(
             _replay(args)
         x_new = x + wsum / j_t
         if (t + 1) % stat_every == 0 or t == 0 or t == outer_iters - 1:
-            f = np.nan if problem.full_value is None else problem.full_value(x_new)
+            f = np.nan if full is None else full.value(x_new)
             report.record(t + 1, f, stationarity(x_new, x),
                           calls_since(counters, start)["stoch_subgrad"])
         x = x_new

@@ -101,10 +101,7 @@ def make_phase_retrieval(d: int, m: int, outlier_frac: float = 0.0,
         stoch_subgrad=stoch_subgrad,
         A=A,
         rho=rho_stoch,
-        dim=d,
-        presample=lambda r, n: r.integers(0, m, size=n),
-        full_value=problem.value,
-        envelope_oracle=problem,
+        full_problem=problem,
     )
 
     return SyntheticInstance(
@@ -310,7 +307,7 @@ def make_erm_logistic(d: int, m: int, mu: float = 1e-2, seed: int = 0) -> Synthe
     margins = A @ w + 0.5 * rng.normal(m)
     b = np.where(margins >= 0.0, 1.0, -1.0)
     problem = FiniteSumProblem(A, LogisticLoss(b), mu)
-    full_value = problem._full_smooth_value
+    objective = problem._full_smooth_value
 
     # high-accuracy optimum by damped Newton (smooth, mu-strongly convex)
     w_opt = np.zeros(d)
@@ -321,8 +318,8 @@ def make_erm_logistic(d: int, m: int, mu: float = 1e-2, seed: int = 0) -> Synthe
         s = -b * problem.loss.deriv(A @ w_opt)  # sigmoid(-b A w), since b = +-1
         H = (A * (s * (1.0 - s))[:, None]).T @ A / m + mu * np.eye(d)
         step = np.linalg.solve(H, grad)
-        damp, val = 1.0, full_value(w_opt)
-        while full_value(w_opt - damp * step) > val and damp > 1e-8:
+        damp, val = 1.0, objective(w_opt)
+        while objective(w_opt - damp * step) > val and damp > 1e-8:
             damp *= 0.5
         w_opt = w_opt - damp * step
 
@@ -330,7 +327,7 @@ def make_erm_logistic(d: int, m: int, mu: float = 1e-2, seed: int = 0) -> Synthe
         problem=problem,
         arrays={"A": A, "b": b},
         ground_truth=w_opt,
-        optimum_value=full_value(w_opt),
+        optimum_value=objective(w_opt),
     )
 
 

@@ -206,14 +206,15 @@ def constant_report(value, n=5):
     return rep
 
 
-def fail_task(monkeypatch, arm, seed):
-    """Make the harness's (arm, seed) task raise RuntimeError('boom')."""
+def fail_task(monkeypatch, solver, seed):
+    """Make the harness's (solver name, seed) task raise
+    RuntimeError('boom'); the arms of a config name distinct solvers."""
     run_one = proxkit.bench._run_one
 
-    def run(config, task_arm, sname, params, task_seed):
-        if (task_arm, task_seed) == (arm, seed):
+    def run(config, sname, params, task_seed):
+        if (sname, task_seed) == (solver, seed):
             raise RuntimeError("boom")
-        return run_one(config, task_arm, sname, params, task_seed)
+        return run_one(config, sname, params, task_seed)
 
     monkeypatch.setattr(proxkit.bench, "_run_one", run)
 
@@ -386,15 +387,6 @@ class TestRunExperiment:
         assert bundles[0] == bundles[1]
         assert len(bundles[0]) == 4
 
-    def test_seed_offset_env(self, tmp_path, monkeypatch):
-        cfg = parse_config_text(LASSO_CFG)
-        monkeypatch.setenv("PROXKIT_SEED_OFFSET", "5")
-        out = str(tmp_path / "off")
-        run_experiment(cfg, out)
-        assert sorted(f for f in os.listdir(out) if f.endswith("seed5.csv")) == [
-            "solver_seed5.csv"
-        ]
-
     def test_solver_failure_recorded_in_manifest(self, tmp_path):
         # pgsg needs a stochastic instance; lasso has none -> solver failure
         cfg = parse_config_text(LASSO_CFG.replace("proxlinear", "pgsg")
@@ -410,7 +402,7 @@ class TestRunExperiment:
         out = tmp_path / "o"
         run_experiment(cfg, str(out))
         first = (out / "solver_seed0.csv").read_bytes()
-        fail_task(monkeypatch, "solver", 1)
+        fail_task(monkeypatch, "proxlinear", 1)
         manifest = run_experiment(cfg, str(out))
         assert [f["file"] for f in manifest["failures"]] == ["solver_seed1.csv"]
         assert sorted(f.name for f in out.iterdir()) == [
@@ -524,7 +516,7 @@ run.target_gap = 1e-6
     def test_no_ratio_row_on_a_subset_of_seeds(self, tmp_path, monkeypatch):
         # every run that finishes reaches the target, but one baseline
         # seed fails: a median over the other two would hide it
-        fail_task(monkeypatch, "baseline", 1)
+        fail_task(monkeypatch, "gd", 1)
         summary, manifest, result = self._ratio_bundle(tmp_path / "o", "1e-9")
         assert len(result["failures"]) == 1
         assert not [r for r in summary if r.startswith("ratio,")]
@@ -621,14 +613,22 @@ class TestCli:
         assert "line 2: problem.%s must be" % key in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_seed_offset_exits_2(self, tmp_path, capsys, monkeypatch):
-        p = tmp_path / "ok.cfg"
+    def test_the_config_is_the_whole_input(self, tmp_path, monkeypatch):
+        # a variable that once shifted the seed list changes nothing
+        p = tmp_path / "lasso.cfg"
         p.write_text(LASSO_CFG)
-        monkeypatch.setenv("PROXKIT_SEED_OFFSET", "abc")
-        out = tmp_path / "o"
-        assert cli_main(["run", str(p), "--out", str(out)]) == 2
-        assert "PROXKIT_SEED_OFFSET" in capsys.readouterr().err
-        assert not out.exists()
+        bundles = []
+        for offset in (None, "5"):
+            if offset is None:
+                monkeypatch.delenv("PROXKIT_SEED_OFFSET", raising=False)
+            else:
+                monkeypatch.setenv("PROXKIT_SEED_OFFSET", offset)
+            out = tmp_path / ("offset%s" % offset)
+            assert cli_main(["run", str(p), "--out", str(out)]) == 0
+            bundles.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert sorted(bundles[1]) == [
+            "MANIFEST", "solver_seed0.csv", "solver_seed1.csv", "summary.csv"]
+        assert bundles[0] == bundles[1]
 
     def test_non_numeric_problem_value_exits_2(self, tmp_path, capsys):
         p = tmp_path / "abc.cfg"

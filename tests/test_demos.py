@@ -32,7 +32,6 @@ def test_demo_exits_0(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     env["TMPDIR"] = str(tmp_path)  # demo 05 writes its bundle to a temp dir
-    env.pop("PROXKIT_SEED_OFFSET", None)
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

@@ -9,6 +9,8 @@ from proxkit import (
     InvalidModulus,
     OracleFailure,
     RandomStream,
+    SmoothPlusProx,
+    Zero,
     default_schedule,
     make_phase_retrieval,
     pgsg_run,
@@ -40,17 +42,19 @@ class TestSchedule:
 
 def tiny_quadratic_problem(rho=1.0, dim=3, m=20):
     """Least squares as a linear model: f(x, i) = 0.5 (a_i . x - b_i)^2
-    over m fixed rows, with i uniform; F is a convex quadratic."""
+    over m fixed rows, with i uniform; F is a convex quadratic, attached
+    as a SmoothPlusProx."""
     gen = RandomStream(0, stream_id=31)
     A = gen.normal((m, dim))
     b = A @ np.ones(dim) + 0.1 * gen.normal(m)
     b_list = b.tolist()
+    full = SmoothPlusProx(lambda x: 0.5 * float(np.mean((A @ x - b) ** 2)),
+                          lambda x: A.T @ (A @ x - b) / m,
+                          float(np.linalg.norm(A, 2)) ** 2 / m, Zero())
     return StochasticProblem(
         stoch_value=lambda x, i: 0.5 * float(A[i] @ x - b[i]) ** 2,
         stoch_subgrad=lambda t, i: t - b_list[i],
-        A=A, rho=rho, dim=dim,
-        presample=lambda rng, n: rng.integers(0, m, size=n),
-        full_value=lambda x: 0.5 * float(np.mean((A @ x - b) ** 2)),
+        A=A, rho=rho, full_problem=full,
     )
 
 
@@ -116,6 +120,21 @@ class TestPgsgRun:
             for _ in range(2)
         ]
         assert np.array_equal(runs[0], runs[1])
+
+    def test_step_proxy_without_a_full_problem(self):
+        # no F to evaluate: the objective is NaN and stationarity is the
+        # step-size proxy 2 rho ||x_1 - x_0||
+        prob = tiny_quadratic_problem()
+        prob.full_problem = None
+        x0 = np.array([2.0, -1.0, 0.5])
+        rep = pgsg_run(prob, x0, outer_iters=1,
+                       schedule=default_schedule(prob.rho),
+                       rng=RandomStream(17, stream_id=11))
+        assert rep.iteration_index.tolist() == [1]
+        assert np.isnan(rep.objective_history[0])
+        assert rep.stationarity_history[0] == (
+            2.0 * prob.rho * float(np.linalg.norm(rep.solution - x0)))
+        assert rep.stationarity_history[0] > 0
 
     def test_envelope_stationarity_on_instance(self):
         # phase retrieval carries a deterministic envelope oracle, so the
@@ -227,7 +246,7 @@ def offset_form_solution(prob, sched, x0, outer_iters, rng):
     for t in range(outer_iters):
         j_t = sched.inner_counts(t)
         w, wsum = np.zeros_like(x), np.zeros_like(x)
-        for j, i in enumerate(prob.presample(rng, j_t - 1)):
+        for j, i in enumerate(rng.integers(0, len(A), size=j_t - 1)):
             alpha = sched.inner_steps(j)
             s = prob.stoch_subgrad(float(A[i] @ x + A[i] @ w), i)
             w = (1.0 - 2.0 * prob.rho * alpha) * w - (alpha * s) * A[i]
@@ -279,16 +298,25 @@ class TestFoldingSchedules:
         self.check(sched)
 
 
+class StepIndexedStream(RandomStream):
+    """A fake stream whose sized draws are 0, 1, 2, ...: draw j of each
+    outer step is row j.  The unsized draw, PGSG's pick, is the real one."""
+
+    def integers(self, low, high=None, size=None):
+        if size is None:
+            return super().integers(low, high)
+        return np.arange(size)
+
+
 def step_indexed_problem(subgrad, dim=3):
-    """Draw j of each outer step is row j, so a derivative can misbehave
-    at a chosen inner step.  Every row is the all-ones vector, and
+    """Rows for StepIndexedStream, so a derivative can misbehave at a
+    chosen inner step.  Every row is the all-ones vector, and
     f(x, j) = 0.5 (a_j . x)^2 otherwise."""
     A = np.ones((_INNER_OFFSET, dim))
     return StochasticProblem(
         stoch_value=lambda x, j: 0.5 * float(A[j] @ x) ** 2,
         stoch_subgrad=subgrad,
-        A=A, rho=1.0, dim=dim,
-        presample=lambda rng, n: np.arange(n),
+        A=A, rho=1.0,
     )
 
 
@@ -305,9 +333,9 @@ def tallied(subgrad):
 
 
 def run_one_step(prob):
-    return pgsg_run(prob, np.zeros(prob.dim), outer_iters=1,
+    return pgsg_run(prob, np.zeros(prob.A.shape[1]), outer_iters=1,
                     schedule=default_schedule(prob.rho),
-                    rng=RandomStream(13, stream_id=7))
+                    rng=StepIndexedStream(13, stream_id=7))
 
 
 class TestFiniteness:

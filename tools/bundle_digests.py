@@ -30,8 +30,9 @@ script imports proxkit from ``TREE/src`` and prints one line per output:
 
 Two trees that make the same bytes print the same lines, so the gate
 "byte-identical bundles and demo output" is one ``diff`` of the two
-outputs.  ``PROXKIT_TIMING`` and ``PROXKIT_SEED_OFFSET`` are cleared
-first, since either one changes the bytes.
+outputs.  ``PROXKIT_TIMING`` is cleared first, since it changes the
+bytes.  So is ``PROXKIT_SEED_OFFSET``: proxkit no longer reads it, but
+older trees that a gate compares against shift their seeds by it.
 """
 
 from __future__ import annotations
