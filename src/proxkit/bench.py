@@ -89,9 +89,14 @@ def _run_proximal_point(instance, p, seed):
     p = dict(p)  # the caller's dict serves every seed
     nu = p.pop("nu")
     if nu is None:
-        # 1/(2 L beta): below 1/rho for a composite, whose rho is L beta,
-        # and a well-conditioned FISTA subproblem for a convex SmoothPlusProx
-        nu = 1.0 / (2.0 * max(prob.L * prob.beta, 1e-12))
+        if prob.rho == 0:
+            # convex: outer steps grow like 1 + 1/(nu mu) and FISTA steps a
+            # map like sqrt(1 + nu beta); mu is unknown (0 for a wide
+            # lasso), and nu beta = 10 was cheapest on every lasso shape
+            nu = 10.0 / max(prob.beta, 1e-12)
+        else:
+            # 1/(2 L beta): below 1/rho for a composite, whose rho is L beta
+            nu = 1.0 / (2.0 * max(prob.L * prob.beta, 1e-12))
     return proximal_point_run(prob, nu, _init_point(instance, seed), **p)
 
 

@@ -558,6 +558,46 @@ run.target_gap = 1e-6
         summary = (out / "summary.csv").read_text().splitlines()
         assert [r for r in summary if r.startswith("ratio,")] == [ref]
 
+    def test_default_nu_stops_on_a_wide_lasso(self, tmp_path):
+        # d > m: lasso is convex but not strongly convex (mu = 0); at
+        # nu = 1/(2 beta) neither seed stops within the 2,000 rows
+        cfg = parse_config_text("""\
+problem.name = lasso
+problem.d = 200
+problem.m = 100
+solver.name = proximal_point
+solver.max_iters = 2000
+solver.step_tol = 1e-8
+seeds = 0, 1
+""")
+        out = tmp_path / "wide"
+        run_experiment(cfg, str(out))
+        for seed in cfg.seeds:
+            text = (out / ("solver_seed%d.csv" % seed)).read_text()
+            rows = [r.split(",") for r in text.splitlines()[2:]]
+            assert len(rows) < 2000
+            assert float(rows[-1][2]) <= 1e-8
+
+    @pytest.mark.parametrize("nu", [None, 0.375])
+    @pytest.mark.parametrize("problem", ["lasso", "phase_retrieval"])
+    def test_default_nu(self, monkeypatch, problem, nu):
+        # a convex bundle (rho = 0) gets 10 / beta; a weakly convex one
+        # must stay below 1/rho; an explicit nu passes through
+        text = ("problem.name = %s\nproblem.d = 5\nproblem.m = %d\n"
+                "solver.name = proximal_point\nseeds = 0\n"
+                % (problem, 10 if problem == "lasso" else 30))
+        if nu is not None:
+            text += "solver.nu = %r\n" % nu
+        cfg = parse_config_text(text)
+        passed = []
+        monkeypatch.setattr(proxkit.bench, "proximal_point_run",
+                            lambda prob, nu, x0, **p: passed.append(nu))
+        proxkit.bench._run_one(cfg, "proximal_point", cfg.arms[0][2], 0)
+        prob = proxkit.bench._build_instance(cfg, 0).problem
+        if nu is None:
+            nu = 10 / prob.beta if problem == "lasso" else 1 / (2 * prob.rho)
+        assert passed == [nu]
+
     def test_infinite_objective_gives_infinite_quartiles(self, tmp_path):
         # the harness's standard-normal start lies outside the box, so
         # every run's iteration-0 objective is inf
